@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <set>
 #include <span>
 #include <stdexcept>
-#include <unordered_map>
 
-#include "rtl/controller.h"
-#include "transfer/mapping.h"
+#include "transfer/module_sim.h"
 
 namespace ctrtl::rtl {
 
@@ -93,238 +90,19 @@ LaneEngine::LaneEngine(std::shared_ptr<const transfer::CompiledDesign> compiled)
   if (!compiled_) {
     throw std::invalid_argument("LaneEngine requires a compiled design");
   }
-  const transfer::Design& design = compiled_->design;
-  const transfer::StaticSchedule& schedule = compiled_->schedule;
-
-  // --- signal table: same resources, same names, same initial values the
-  // elaborated RtModel would create (names feed the conflict records) -------
-  const auto add_signal = [this](std::string name, RtValue initial) {
-    signal_names_.push_back(std::move(name));
-    signal_initial_.push_back(initial);
-    return static_cast<std::uint32_t>(signal_names_.size() - 1);
-  };
-  std::unordered_map<std::string, std::uint32_t> register_index;
-  for (const transfer::RegisterDecl& reg : design.registers) {
-    RegisterTable table;
-    table.decl = &reg;
-    table.in = add_signal(reg.name + ".in", RtValue::disc());
-    table.out = add_signal(reg.name + ".out", RtValue::disc());
-    if (reg.initial.has_value()) {
-      preloaded_registers_.push_back(static_cast<std::uint32_t>(registers_.size()));
-      preload_values_.push_back(RtValue::of(*reg.initial));
-    }
-    register_index[reg.name] = static_cast<std::uint32_t>(registers_.size());
-    registers_.push_back(std::move(table));
-  }
-  std::unordered_map<std::string, std::uint32_t> bus_index;
-  for (const transfer::BusDecl& bus : design.buses) {
-    bus_index[bus.name] = add_signal(bus.name, RtValue::disc());
-  }
-  std::unordered_map<std::string, std::uint32_t> constant_index;
-  for (const transfer::ConstantDecl& constant : design.constants) {
-    constant_index[constant.name] =
-        add_signal(constant.name, RtValue::of(constant.value));
-  }
-  for (const transfer::InputDecl& input : design.inputs) {
-    input_index_[input.name] = add_signal(input.name, RtValue::disc());
-  }
-  std::unordered_map<std::string, std::uint32_t> module_index;
-  for (const transfer::ModuleDecl& module : design.modules) {
-    ModuleTable table;
-    table.decl = &module;
-    for (unsigned i = 0; i < module.num_inputs(); ++i) {
-      table.inputs.push_back(
-          add_signal(module.name + ".in" + std::to_string(i + 1), RtValue::disc()));
-    }
-    if (module.has_op_port()) {
-      table.op = add_signal(module.name + ".op", RtValue::disc());
-    }
-    table.out = add_signal(module.name + ".out", RtValue::disc());
-    module_index[module.name] = static_cast<std::uint32_t>(modules_.size());
-    modules_.push_back(std::move(table));
-  }
-  // Implicit constant sources for op codes (mirrors build_model).
-  std::set<std::int64_t> op_codes;
-  for (const transfer::RegisterTransfer& transfer : design.transfers) {
-    if (transfer.op) {
-      op_codes.insert(*transfer.op);
-    }
-  }
-  for (const std::int64_t code : op_codes) {
-    const std::string name = transfer::op_constant_name(code);
-    if (!constant_index.contains(name)) {
-      constant_index[name] = add_signal(name, RtValue::of(code));
-    }
-  }
-
-  const auto signal_of = [&](const transfer::Endpoint& endpoint) -> std::uint32_t {
-    using Kind = transfer::Endpoint::Kind;
-    switch (endpoint.kind) {
-      case Kind::kRegisterOut:
-        return registers_.at(register_index.at(endpoint.resource)).out;
-      case Kind::kRegisterIn:
-        return registers_.at(register_index.at(endpoint.resource)).in;
-      case Kind::kModuleOut:
-        return modules_.at(module_index.at(endpoint.resource)).out;
-      case Kind::kModuleIn:
-        return modules_.at(module_index.at(endpoint.resource))
-            .inputs.at(endpoint.port);
-      case Kind::kModuleOp: {
-        const std::uint32_t op = modules_.at(module_index.at(endpoint.resource)).op;
-        if (op == kNoSignal) {
-          throw std::invalid_argument("module '" + endpoint.resource +
-                                      "' has no operation port");
-        }
-        return op;
-      }
-      case Kind::kBus:
-        return bus_index.at(endpoint.resource);
-      case Kind::kConstant:
-        return constant_index.at(endpoint.resource);
-      case Kind::kInput:
-        return input_index_.at(endpoint.resource);
-    }
-    throw std::logic_error("LaneEngine: corrupt endpoint kind");
-  };
-
-  // --- transfer lowering: identical slot/driver assignment and fire/release
-  // placement to CompiledEngine (level order == RtModel add order, so the
-  // per-lane conflict order matches the per-instance engines exactly) -------
-  const unsigned cs_max = design.cs_max;
-  wheel_cycles_ = static_cast<std::uint64_t>(cs_max) * kPhasesPerStep;
-  plan_.resize(wheel_cycles_ + 2);  // [0] unused; [wheel_cycles_+1] trailing
-
-  std::unordered_map<std::uint32_t, std::uint32_t> slot_of;
-  for (const transfer::ScheduleLevel& level : schedule.levels) {
-    for (const transfer::TransInstance& instance : level.fires) {
-      const std::uint32_t sink = signal_of(instance.sink);
-      const auto [it, inserted] =
-          slot_of.try_emplace(sink, static_cast<std::uint32_t>(slots_.size()));
-      if (inserted) {
-        slots_.push_back(SinkSlot{sink, 0, 0});
-      }
-      SinkSlot& slot = slots_[it->second];
-      const std::uint32_t driver = slot.drivers++;
-      const std::uint64_t fire_ordinal =
-          (static_cast<std::uint64_t>(instance.step) - 1) * kPhasesPerStep +
-          static_cast<std::uint64_t>(phase_index(instance.phase)) + 1;
-      plan_[fire_ordinal].fires.push_back(
-          FireAction{it->second, driver, signal_of(instance.source)});
-      plan_[fire_ordinal + 1].releases.push_back(ReleaseAction{it->second, driver});
-    }
-  }
-  std::uint32_t contrib_base = 0;
-  for (SinkSlot& slot : slots_) {
-    slot.contrib_base = contrib_base;
-    contrib_base += slot.drivers;
-  }
-  total_drivers_ = contrib_base;
-
-  // --- per-cycle execution metadata ----------------------------------------
-  for (std::uint64_t d = 1; d <= wheel_cycles_ + 1; ++d) {
-    const auto [step, phase] = Controller::locate(d);
-    plan_[d].step = step;
-    plan_[d].phase = phase;
-    if (d <= wheel_cycles_) {
-      plan_[d].eval_modules = phase == Phase::kCm && !modules_.empty();
-      plan_[d].latch_registers = phase == Phase::kCr && !registers_.empty();
-      // Transactions every lane performs this cycle: fires, releases, one
-      // evaluation per module, plus the controller's CS/PH drives (both when
-      // cr opens the next step, nothing at the final cr, PH elsewhere).
-      // Register latches are gated on a non-DISC input and stay per-lane.
-      const std::uint32_t controller =
-          phase == kPhaseHigh ? (step < cs_max ? 2u : 0u) : 1u;
-      plan_[d].uniform_transactions =
-          static_cast<std::uint32_t>(plan_[d].fires.size() +
-                                     plan_[d].releases.size()) +
-          (plan_[d].eval_modules ? static_cast<std::uint32_t>(modules_.size())
-                                 : 0u) +
-          controller;
-    }
-  }
-
-  // --- update lists: the event kernel's pending order, statically derived --
-  // Same derivation as CompiledEngine with the always-lane-uniform entries
-  // folded into the counters instead of materialized:
-  //   - CS/PH assignments are one update + one event each for every lane
-  //     (CS steps 0 -> 1 -> ... -> cs_max, PH walks the six-phase wheel from
-  //     its cr initial — every assignment changes the value);
-  //   - externally set inputs are per-lane *counts* added at cycle 1 (the
-  //     value itself is published at set-input time, before the stats
-  //     window, exactly like RtModel::set_input in compiled mode).
-  // Register preloads stay materialized as (dirty-gated) register-out
-  // entries, like any other latch.
-  if (cs_max > 0) {
-    plan_[1].uniform_updates += 2;
-    plan_[1].uniform_events += 2;
-  }
-  for (const std::uint32_t reg : preloaded_registers_) {
-    plan_[1].updates.push_back(UpdateEntry{UpdateEntry::Kind::kRegisterOut, reg});
-  }
-  std::vector<std::uint64_t> sink_stamp(slots_.size(), 0);
-  for (std::uint64_t d = 2; d <= wheel_cycles_ + 1; ++d) {
-    const CyclePlan& prev = plan_[d - 1];
-    std::vector<UpdateEntry>& updates = plan_[d].updates;
-    const auto add_sink = [&](std::uint32_t slot) {
-      if (sink_stamp[slot] != d) {
-        sink_stamp[slot] = d;
-        updates.push_back(UpdateEntry{UpdateEntry::Kind::kSink, slot});
-      }
-    };
-    if (prev.eval_modules) {
-      for (std::uint32_t m = 0; m < modules_.size(); ++m) {
-        updates.push_back(UpdateEntry{UpdateEntry::Kind::kModuleOut, m});
-      }
-    }
-    for (const FireAction& fire : prev.fires) {
-      add_sink(fire.slot);
-    }
-    if (prev.latch_registers) {
-      for (std::uint32_t r = 0; r < registers_.size(); ++r) {
-        updates.push_back(UpdateEntry{UpdateEntry::Kind::kRegisterOut, r});
-      }
-    }
-    for (const ReleaseAction& release : prev.releases) {
-      add_sink(release.slot);
-    }
-    if (prev.phase == kPhaseHigh) {
-      if (prev.step < cs_max) {
-        plan_[d].uniform_updates += 2;
-        plan_[d].uniform_events += 2;
-      }
-    } else {
-      plan_[d].uniform_updates += 1;
-      plan_[d].uniform_events += 1;
-    }
-  }
-  for (CyclePlan& plan : plan_) {
-    for (const UpdateEntry& entry : plan.updates) {
-      // Sink and module-out updates are unconditional for every lane;
-      // register-out updates only count when the lane's latch is dirty.
-      if (entry.kind != UpdateEntry::Kind::kRegisterOut) {
-        ++plan.uniform_updates;
-      }
-    }
-  }
-  for (const UpdateEntry& entry : plan_[wheel_cycles_ + 1].updates) {
-    if (entry.kind == UpdateEntry::Kind::kSink) {
-      trailing_has_static_updates_ = true;
-      break;
-    }
-  }
-
-  init_transactions_ = (cs_max > 0 ? 2u : 0u) + preloaded_registers_.size();
 }
 
 void LaneEngine::execute_cycle(std::uint64_t ordinal, LaneBlock& block) const {
-  const CyclePlan& plan = plan_[ordinal];
+  using Update = transfer::LanePlan::Update;
+  const transfer::LanePlan& tables = compiled_->plan;
+  const transfer::LanePlan::Cycle& plan = tables.cycles[ordinal];
   const std::size_t lanes = block.lanes;
 
   // --- update phase --------------------------------------------------------
-  for (const UpdateEntry& entry : plan.updates) {
+  for (const Update& entry : tables.updates_at(ordinal)) {
     switch (entry.kind) {
-      case UpdateEntry::Kind::kSink: {
-        const SinkSlot& slot = slots_[entry.index];
+      case Update::Kind::kSink: {
+        const SinkSlot& slot = tables.slots[entry.index];
         const std::size_t value_row = static_cast<std::size_t>(slot.signal) * lanes;
         for (std::size_t lane = 0; lane < lanes; ++lane) {
           const RtValue value = block.resolve(slot, entry.index, lane);
@@ -334,14 +112,15 @@ void LaneEngine::execute_cycle(std::uint64_t ordinal, LaneBlock& block) const {
             ++block.lane_events[lane];
             if (value.is_illegal()) {
               block.conflicts[lane].push_back(
-                  Conflict{signal_names_[slot.signal], plan.step, plan.phase});
+                  Conflict{tables.signal_names[slot.signal], plan.step,
+                           plan.phase});
             }
           }
         }
         break;
       }
-      case UpdateEntry::Kind::kModuleOut: {
-        const ModuleTable& module = modules_[entry.index];
+      case Update::Kind::kModuleOut: {
+        const transfer::LanePlan::Module& module = tables.modules[entry.index];
         const std::size_t value_row = static_cast<std::size_t>(module.out) * lanes;
         const std::size_t pending_row =
             static_cast<std::size_t>(entry.index) * lanes;
@@ -355,8 +134,8 @@ void LaneEngine::execute_cycle(std::uint64_t ordinal, LaneBlock& block) const {
         }
         break;
       }
-      case UpdateEntry::Kind::kRegisterOut: {
-        const RegisterTable& reg = registers_[entry.index];
+      case Update::Kind::kRegisterOut: {
+        const transfer::LanePlan::Register& reg = tables.registers[entry.index];
         const std::size_t value_row = static_cast<std::size_t>(reg.out) * lanes;
         const std::size_t pending_row =
             static_cast<std::size_t>(entry.index) * lanes;
@@ -379,11 +158,11 @@ void LaneEngine::execute_cycle(std::uint64_t ordinal, LaneBlock& block) const {
   }
 
   // --- execution phase (the trailing cycle only applies updates) -----------
-  if (ordinal > wheel_cycles_) {
+  if (ordinal > tables.wheel_cycles) {
     return;
   }
-  for (const FireAction& fire : plan.fires) {
-    const SinkSlot& slot = slots_[fire.slot];
+  for (const transfer::LanePlan::Fire& fire : tables.fires_at(ordinal)) {
+    const SinkSlot& slot = tables.slots[fire.slot];
     const std::size_t source_row = static_cast<std::size_t>(fire.source) * lanes;
     for (std::size_t lane = 0; lane < lanes; ++lane) {
       block.write_contribution(slot, fire.slot, fire.driver, lane,
@@ -391,10 +170,10 @@ void LaneEngine::execute_cycle(std::uint64_t ordinal, LaneBlock& block) const {
     }
   }
   if (plan.eval_modules) {
-    for (std::size_t m = 0; m < modules_.size(); ++m) {
-      const ModuleTable& module = modules_[m];
+    for (std::size_t m = 0; m < tables.modules.size(); ++m) {
+      const transfer::LanePlan::Module& module = tables.modules[m];
       const std::size_t arity = module.inputs.size();
-      const std::size_t op_row = module.op != kNoSignal
+      const std::size_t op_row = module.op != transfer::LanePlan::kNoSignal
                                      ? static_cast<std::size_t>(module.op) * lanes
                                      : 0;
       const std::size_t pending_row = m * lanes;
@@ -404,8 +183,9 @@ void LaneEngine::execute_cycle(std::uint64_t ordinal, LaneBlock& block) const {
               block.values[static_cast<std::size_t>(module.inputs[i]) * lanes +
                            lane];
         }
-        const RtValue op = module.op != kNoSignal ? block.values[op_row + lane]
-                                                  : RtValue::disc();
+        const RtValue op = module.op != transfer::LanePlan::kNoSignal
+                               ? block.values[op_row + lane]
+                               : RtValue::disc();
         block.module_pending[pending_row + lane] =
             block.sims[pending_row + lane].step(
                 std::span<const RtValue>(block.scratch.data(), arity), op);
@@ -413,9 +193,9 @@ void LaneEngine::execute_cycle(std::uint64_t ordinal, LaneBlock& block) const {
     }
   }
   if (plan.latch_registers) {
-    for (std::size_t r = 0; r < registers_.size(); ++r) {
+    for (std::size_t r = 0; r < tables.registers.size(); ++r) {
       const std::size_t value_row =
-          static_cast<std::size_t>(registers_[r].in) * lanes;
+          static_cast<std::size_t>(tables.registers[r].in) * lanes;
       const std::size_t pending_row = r * lanes;
       for (std::size_t lane = 0; lane < lanes; ++lane) {
         const RtValue& value = block.values[value_row + lane];
@@ -427,8 +207,8 @@ void LaneEngine::execute_cycle(std::uint64_t ordinal, LaneBlock& block) const {
       }
     }
   }
-  for (const ReleaseAction& release : plan.releases) {
-    const SinkSlot& slot = slots_[release.slot];
+  for (const transfer::LanePlan::Release& release : tables.releases_at(ordinal)) {
+    const SinkSlot& slot = tables.slots[release.slot];
     for (std::size_t lane = 0; lane < lanes; ++lane) {
       block.write_contribution(slot, release.slot, release.driver, lane,
                                RtValue::disc());
@@ -445,28 +225,30 @@ std::vector<InstanceResult> LaneEngine::run_block(
     return results;
   }
 
+  const transfer::LanePlan& tables = compiled_->plan;
+  const transfer::Design& design = compiled_->design;
   LaneBlock block;
   block.lanes = lanes;
-  const std::size_t signals = signal_names_.size();
+  const std::size_t signals = tables.signal_names.size();
   block.values.resize(signals * lanes);
   for (std::size_t s = 0; s < signals; ++s) {
     std::fill_n(block.values.begin() + static_cast<std::ptrdiff_t>(s * lanes),
-                lanes, signal_initial_[s]);
+                lanes, tables.signal_initial[s]);
   }
-  block.contributions.assign(static_cast<std::size_t>(total_drivers_) * lanes,
-                             RtValue::disc());
-  block.non_disc.assign(slots_.size() * lanes, 0);
-  block.illegal.assign(slots_.size() * lanes, 0);
-  block.last_driver.assign(slots_.size() * lanes, 0);
-  block.module_pending.assign(modules_.size() * lanes, RtValue::disc());
-  block.reg_pending.assign(registers_.size() * lanes, RtValue::disc());
-  block.reg_dirty.assign(registers_.size() * lanes, 0);
-  block.sims.reserve(modules_.size() * lanes);
+  block.contributions.assign(
+      static_cast<std::size_t>(tables.total_drivers) * lanes, RtValue::disc());
+  block.non_disc.assign(tables.slots.size() * lanes, 0);
+  block.illegal.assign(tables.slots.size() * lanes, 0);
+  block.last_driver.assign(tables.slots.size() * lanes, 0);
+  block.module_pending.assign(tables.modules.size() * lanes, RtValue::disc());
+  block.reg_pending.assign(tables.registers.size() * lanes, RtValue::disc());
+  block.reg_dirty.assign(tables.registers.size() * lanes, 0);
+  block.sims.reserve(tables.modules.size() * lanes);
   std::size_t max_arity = 0;
-  for (const ModuleTable& module : modules_) {
-    max_arity = std::max(max_arity, module.inputs.size());
+  for (std::size_t m = 0; m < tables.modules.size(); ++m) {
+    max_arity = std::max(max_arity, tables.modules[m].inputs.size());
     for (std::size_t lane = 0; lane < lanes; ++lane) {
-      block.sims.emplace_back(*module.decl);
+      block.sims.emplace_back(design.modules[m]);
     }
   }
   block.scratch.resize(max_arity);
@@ -482,8 +264,8 @@ std::vector<InstanceResult> LaneEngine::run_block(
     for (std::size_t lane = 0; lane < lanes; ++lane) {
       touched.clear();
       for (const auto& [name, value] : inputs(first_instance + lane)) {
-        const auto it = input_index_.find(name);
-        if (it == input_index_.end()) {
+        const auto it = tables.input_index.find(name);
+        if (it == tables.input_index.end()) {
           throw std::invalid_argument("no input named '" + name + "'");
         }
         block.values[static_cast<std::size_t>(it->second) * lanes + lane] = value;
@@ -498,19 +280,19 @@ std::vector<InstanceResult> LaneEngine::run_block(
 
   // --- initialization: controller CS/PH drives and register preloads are
   // transactions scheduled before the first delta cycle -----------------
-  for (std::size_t i = 0; i < preloaded_registers_.size(); ++i) {
+  for (std::size_t i = 0; i < tables.preloaded_registers.size(); ++i) {
     const std::size_t pending_row =
-        static_cast<std::size_t>(preloaded_registers_[i]) * lanes;
+        static_cast<std::size_t>(tables.preloaded_registers[i]) * lanes;
     std::fill_n(block.reg_pending.begin() +
                     static_cast<std::ptrdiff_t>(pending_row),
-                lanes, preload_values_[i]);
+                lanes, tables.preload_values[i]);
     std::fill_n(
         block.reg_dirty.begin() + static_cast<std::ptrdiff_t>(pending_row),
         lanes, static_cast<std::uint8_t>(1));
   }
   std::uint64_t uniform_updates = 0;
   std::uint64_t uniform_events = 0;
-  std::uint64_t uniform_transactions = init_transactions_;
+  std::uint64_t uniform_transactions = tables.init_transactions;
 
   std::uint64_t executed = 0;
   std::uint64_t cursor = 1;
@@ -522,16 +304,18 @@ std::vector<InstanceResult> LaneEngine::run_block(
   // trip hits every lane: controller work is pending for all of them.
   bool tripped_wheel = false;
   std::uint64_t trip_ordinal = 0;
-  while (executed < max_cycles && cursor <= wheel_cycles_) {
+  const std::uint64_t wheel_cycles = tables.wheel_cycles;
+  while (executed < max_cycles && cursor <= wheel_cycles) {
     if (executed >= max_delta_cycles) {
       tripped_wheel = true;
       trip_ordinal = cursor;
       break;
     }
     execute_cycle(cursor, block);
-    uniform_updates += plan_[cursor].uniform_updates;
-    uniform_events += plan_[cursor].uniform_events;
-    uniform_transactions += plan_[cursor].uniform_transactions;
+    const transfer::LanePlan::Cycle& cycle = tables.cycles[cursor];
+    uniform_updates += cycle.uniform_updates;
+    uniform_events += cycle.uniform_events;
+    uniform_transactions += cycle.uniform_transactions;
     ++cursor;
     ++executed;
   }
@@ -546,11 +330,11 @@ std::vector<InstanceResult> LaneEngine::run_block(
     std::fill(lane_tripped.begin(), lane_tripped.end(),
               static_cast<std::uint8_t>(1));
   }
-  if (!tripped_wheel && executed < max_cycles && cursor == wheel_cycles_ + 1) {
+  if (!tripped_wheel && executed < max_cycles && cursor == wheel_cycles + 1) {
     bool any = false;
     for (std::size_t lane = 0; lane < lanes; ++lane) {
-      bool needed = trailing_has_static_updates_;
-      for (std::size_t r = 0; !needed && r < registers_.size(); ++r) {
+      bool needed = tables.trailing_has_static_updates;
+      for (std::size_t r = 0; !needed && r < tables.registers.size(); ++r) {
         needed = block.reg_dirty[r * lanes + lane] != 0;
       }
       trailing[lane] = needed ? 1 : 0;
@@ -561,7 +345,7 @@ std::vector<InstanceResult> LaneEngine::run_block(
       // work trip (the event scheduler throws at exactly this point), the
       // already-quiescent lanes finish clean. `executed` is lane-uniform,
       // so this split is deterministic.
-      trip_ordinal = wheel_cycles_ + 1;
+      trip_ordinal = wheel_cycles + 1;
       for (std::size_t lane = 0; lane < lanes; ++lane) {
         lane_tripped[lane] = trailing[lane];
         trailing[lane] = 0;
@@ -569,11 +353,12 @@ std::vector<InstanceResult> LaneEngine::run_block(
     } else if (any) {
       // Safe over non-participating lanes: their register latches are clean
       // and sink updates only exist when every lane participates.
-      execute_cycle(wheel_cycles_ + 1, block);
+      execute_cycle(wheel_cycles + 1, block);
+      const transfer::LanePlan::Cycle& last = tables.cycles[wheel_cycles + 1];
       for (std::size_t lane = 0; lane < lanes; ++lane) {
         if (trailing[lane] != 0) {
-          block.lane_updates[lane] += plan_[wheel_cycles_ + 1].uniform_updates;
-          block.lane_events[lane] += plan_[wheel_cycles_ + 1].uniform_events;
+          block.lane_updates[lane] += last.uniform_updates;
+          block.lane_events[lane] += last.uniform_events;
         }
       }
     }
@@ -600,29 +385,29 @@ std::vector<InstanceResult> LaneEngine::run_block(
       result.report.diagnostics.push_back(
           watchdog_diagnostic(max_delta_cycles, trip_ordinal));
     }
-    result.registers.reserve(registers_.size());
-    for (const RegisterTable& reg : registers_) {
+    result.registers.reserve(tables.registers.size());
+    for (std::size_t r = 0; r < tables.registers.size(); ++r) {
       result.registers.emplace_back(
-          reg.decl->name,
-          block.values[static_cast<std::size_t>(reg.out) * lanes + lane]);
+          design.registers[r].name,
+          block.values[static_cast<std::size_t>(tables.registers[r].out) * lanes +
+                       lane]);
     }
   }
   return results;
 }
 
 LaneEngine::TableStats LaneEngine::table_stats() const {
+  const transfer::LanePlan& tables = compiled_->plan;
   TableStats stats;
-  stats.cycles = plan_.size() - 1;
-  stats.signals = signal_names_.size();
-  stats.resolved_sinks = slots_.size();
-  stats.drivers = total_drivers_;
-  stats.modules = modules_.size();
-  stats.registers = registers_.size();
-  for (const CyclePlan& plan : plan_) {
-    stats.fire_actions += plan.fires.size();
-    stats.release_actions += plan.releases.size();
-    stats.update_entries += plan.updates.size();
-  }
+  stats.cycles = tables.cycles.size() - 1;
+  stats.signals = tables.signal_names.size();
+  stats.resolved_sinks = tables.slots.size();
+  stats.drivers = tables.total_drivers;
+  stats.fire_actions = tables.fires.size();
+  stats.release_actions = tables.releases.size();
+  stats.update_entries = tables.updates.size();
+  stats.modules = tables.modules.size();
+  stats.registers = tables.registers.size();
   return stats;
 }
 

@@ -1,7 +1,9 @@
 #include "serve/service.h"
 
+#include <algorithm>
 #include <chrono>
 #include <exception>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -28,6 +30,64 @@ std::vector<std::string> bag_to_strings(const common::DiagnosticBag& diags) {
   out.reserve(diags.entries().size());
   for (const common::Diagnostic& diagnostic : diags.entries()) {
     out.push_back(common::to_string(diagnostic));
+  }
+  return out;
+}
+
+/// A request's sources after parse -> fault -> canonical hash: the design
+/// and instance stream to lower, and their cache key.
+struct Resolved {
+  transfer::Design design;
+  std::vector<transfer::TransInstance> instances;
+  std::uint64_t key = 0;
+};
+
+/// The admission pipeline a request takes when the request-bytes index
+/// does not know it. On failure returns nullopt with `code` set to E-PARSE
+/// or E-FAULT-PLAN and the diagnostics in `diags`.
+std::optional<Resolved> resolve(const RequestBytes& request,
+                                common::DiagnosticBag& diags, ErrorCode* code) {
+  Resolved out;
+  out.design = transfer::parse_design(request.design_text, diags);
+  if (diags.has_errors()) {
+    *code = ErrorCode::kParse;
+    return std::nullopt;
+  }
+  diags.clear();
+  // The instance stream: the design's own tuples, or the fault-transformed
+  // stream when the request carries a plan.
+  if (request.has_fault_plan) {
+    std::optional<fault::FaultedDesign> faulted = fault::parse_and_apply(
+        out.design, std::string(request.fault_plan_text), diags);
+    if (!faulted.has_value()) {
+      *code = ErrorCode::kFaultPlan;
+      return std::nullopt;
+    }
+    out.design = std::move(faulted->design);
+    out.instances = std::move(faulted->instances);
+  } else {
+    out.instances = transfer::to_instances(out.design.transfers);
+  }
+  // Content-hash the post-fault canonical stream: the cache key.
+  out.key = transfer::canonical_stream_hash(out.design, out.instances);
+  return out;
+}
+
+/// Splits diagnostics into one per line: a `diagnostic` field of the wire
+/// format holds exactly one line, and a validation failure's message spans
+/// several.
+std::vector<std::string> one_per_line(const std::vector<std::string>& diagnostics) {
+  std::vector<std::string> out;
+  for (const std::string& diagnostic : diagnostics) {
+    std::size_t start = 0;
+    while (start < diagnostic.size()) {
+      const std::size_t end = std::min(diagnostic.find('\n', start),
+                                       diagnostic.size());
+      if (end > start) {
+        out.push_back(diagnostic.substr(start, end - start));
+      }
+      start = end + 1;
+    }
   }
   return out;
 }
@@ -67,44 +127,30 @@ void SimulationService::restore_snapshot() {
     // record the current binary parses, faults, or hashes differently than
     // the one that journaled it is skipped, not trusted: the snapshot can
     // only ever warm the cache with entries this process would compute.
+    // The record's bytes become its entry's alias, so the first job that
+    // resubmits them is a request-bytes hit.
+    const RequestBytes bytes{record.design_text, record.has_fault_plan,
+                             record.fault_plan_text};
     common::DiagnosticBag diags;
-    transfer::Design design =
-        transfer::parse_design(record.design_text, diags);
-    if (diags.has_errors()) {
-      ++snapshot_skipped_;
-      continue;
-    }
-    diags.clear();
-    std::vector<transfer::TransInstance> instances;
-    if (record.has_fault_plan) {
-      const std::optional<fault::FaultedDesign> faulted =
-          fault::parse_and_apply(design, record.fault_plan_text, diags);
-      if (!faulted.has_value()) {
-        ++snapshot_skipped_;
-        continue;
-      }
-      design = faulted->design;
-      instances = faulted->instances;
-    } else {
-      instances = transfer::to_instances(design.transfers);
-    }
-    const std::uint64_t key =
-        transfer::canonical_stream_hash(design, instances);
-    if (key != record.key) {
+    ErrorCode code = ErrorCode::kParse;
+    std::optional<Resolved> resolved = resolve(bytes, diags, &code);
+    if (!resolved.has_value() || resolved->key != record.key) {
       ++snapshot_skipped_;
       continue;
     }
     try {
-      bool hit = false;
       (void)cache_.get_or_compile(
-          key,
-          [&] { return transfer::CompiledDesign::compile(design, instances); },
-          &hit);
+          resolved->key,
+          [&] {
+            return transfer::CompiledDesign::compile(
+                std::move(resolved->design), std::move(resolved->instances));
+          },
+          nullptr, &bytes);
     } catch (const std::exception&) {
       ++snapshot_skipped_;
       continue;
     }
-    journal_->note_existing(key);
+    journal_->note_existing(record.key);
     ++snapshot_loaded_;
   }
 }
@@ -218,7 +264,7 @@ void SimulationService::process(Job job) {
     ErrorPayload error;
     error.job_id = request.job_id;
     error.code = code;
-    error.diagnostics = std::move(diagnostics);
+    error.diagnostics = one_per_line(diagnostics);
     {
       // Count before emitting: a caller woken by the terminal frame must
       // observe the updated stats.
@@ -256,56 +302,42 @@ void SimulationService::process(Job job) {
   }
 
   try {
-    // Parse the design source.
-    common::DiagnosticBag diags;
-    transfer::Design design =
-        transfer::parse_design(request.design_text, diags);
-    if (diags.has_errors()) {
-      fail(ErrorCode::kParse, bag_to_strings(diags));
-      return;
-    }
-    diags.clear();
-
-    // Resolve the instance stream: the design's own tuples, or the
-    // fault-transformed stream when the job carries a plan.
-    std::vector<transfer::TransInstance> instances;
-    if (request.has_fault_plan) {
-      const std::optional<fault::FaultedDesign> faulted =
-          fault::parse_and_apply(design, request.fault_plan_text, diags);
-      if (!faulted.has_value()) {
-        fail(ErrorCode::kFaultPlan, bag_to_strings(diags));
-        return;
-      }
-      design = faulted->design;
-      instances = faulted->instances;
-    } else {
-      instances = transfer::to_instances(design.transfers);
-    }
-
-    // Content-hash the post-fault canonical stream: the cache key.
-    const std::uint64_t key =
-        transfer::canonical_stream_hash(design, instances);
-
-    // Cache lookup; a miss lowers under the cache lock (single-flight).
+    // A byte-identical resubmission is found by its request bytes and skips
+    // parse, fault and canonical hash; anything else takes the full
+    // pipeline and then looks its canonical key up, lowering on a miss.
     // CompiledDesign::compile throws invalid_argument on validation
     // failure, which surfaces as E-VALIDATE below.
-    bool cache_hit = false;
+    const RequestBytes bytes{request.design_text, request.has_fault_plan,
+                             request.fault_plan_text};
+    std::uint64_t key = 0;
+    bool cache_hit = true;
     std::uint64_t lower_ns = 0;
-    std::shared_ptr<const transfer::CompiledDesign> compiled;
-    try {
-      compiled = cache_.get_or_compile(
-          key,
-          [&] {
-            const std::uint64_t start = now_ns();
-            auto lowered =
-                transfer::CompiledDesign::compile(design, instances);
-            lower_ns = now_ns() - start;
-            return lowered;
-          },
-          &cache_hit);
-    } catch (const std::invalid_argument& error) {
-      fail(ErrorCode::kValidate, {error.what()});
-      return;
+    std::shared_ptr<const transfer::CompiledDesign> compiled =
+        cache_.find(bytes, &key);
+    if (!compiled) {
+      common::DiagnosticBag diags;
+      ErrorCode code = ErrorCode::kParse;
+      std::optional<Resolved> resolved = resolve(bytes, diags, &code);
+      if (!resolved.has_value()) {
+        fail(code, bag_to_strings(diags));
+        return;
+      }
+      key = resolved->key;
+      try {
+        compiled = cache_.get_or_compile(
+            key,
+            [&] {
+              const std::uint64_t start = now_ns();
+              auto lowered = transfer::CompiledDesign::compile(
+                  std::move(resolved->design), std::move(resolved->instances));
+              lower_ns = now_ns() - start;
+              return lowered;
+            },
+            &cache_hit, &bytes);
+      } catch (const std::invalid_argument& error) {
+        fail(ErrorCode::kValidate, {error.what()});
+        return;
+      }
     }
 
     // Journal the sources behind every fresh entry (best-effort: a failed

@@ -169,6 +169,9 @@ class SimulationService {
 
   [[nodiscard]] StatsPayload stats() const;
 
+  /// The design cache, read-only (tests and diagnostics).
+  [[nodiscard]] const DesignCache& cache() const { return cache_; }
+
   /// Stops admission (further submits are kRejected with E-SHUTDOWN),
   /// drains already-accepted jobs, and joins the workers. Idempotent.
   void shutdown();

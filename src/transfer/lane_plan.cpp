@@ -1,0 +1,258 @@
+#include "transfer/lane_plan.h"
+
+#include <set>
+#include <stdexcept>
+
+#include "rtl/controller.h"
+#include "transfer/design.h"
+#include "transfer/mapping.h"
+#include "transfer/schedule.h"
+
+namespace ctrtl::transfer {
+
+LanePlan lower_lane_plan(const Design& design, const StaticSchedule& schedule) {
+  using rtl::RtValue;
+  LanePlan plan;
+
+  // --- signal table: same resources, same names, same initial values the
+  // elaborated RtModel would create (names feed the conflict records) -------
+  const auto add_signal = [&plan](std::string name, RtValue initial) {
+    plan.signal_names.push_back(std::move(name));
+    plan.signal_initial.push_back(initial);
+    return static_cast<std::uint32_t>(plan.signal_names.size() - 1);
+  };
+  std::unordered_map<std::string, std::uint32_t> register_index;
+  for (const RegisterDecl& reg : design.registers) {
+    LanePlan::Register table;
+    table.in = add_signal(reg.name + ".in", RtValue::disc());
+    table.out = add_signal(reg.name + ".out", RtValue::disc());
+    if (reg.initial.has_value()) {
+      plan.preloaded_registers.push_back(
+          static_cast<std::uint32_t>(plan.registers.size()));
+      plan.preload_values.push_back(RtValue::of(*reg.initial));
+    }
+    register_index[reg.name] = static_cast<std::uint32_t>(plan.registers.size());
+    plan.registers.push_back(table);
+  }
+  std::unordered_map<std::string, std::uint32_t> bus_index;
+  for (const BusDecl& bus : design.buses) {
+    bus_index[bus.name] = add_signal(bus.name, RtValue::disc());
+  }
+  std::unordered_map<std::string, std::uint32_t> constant_index;
+  for (const ConstantDecl& constant : design.constants) {
+    constant_index[constant.name] =
+        add_signal(constant.name, RtValue::of(constant.value));
+  }
+  for (const InputDecl& input : design.inputs) {
+    plan.input_index[input.name] = add_signal(input.name, RtValue::disc());
+  }
+  std::unordered_map<std::string, std::uint32_t> module_index;
+  for (const ModuleDecl& module : design.modules) {
+    LanePlan::Module table;
+    for (unsigned i = 0; i < module.num_inputs(); ++i) {
+      table.inputs.push_back(
+          add_signal(module.name + ".in" + std::to_string(i + 1), RtValue::disc()));
+    }
+    if (module.has_op_port()) {
+      table.op = add_signal(module.name + ".op", RtValue::disc());
+    }
+    table.out = add_signal(module.name + ".out", RtValue::disc());
+    module_index[module.name] = static_cast<std::uint32_t>(plan.modules.size());
+    plan.modules.push_back(std::move(table));
+  }
+  // Implicit constant sources for op codes (mirrors build_model).
+  std::set<std::int64_t> op_codes;
+  for (const RegisterTransfer& transfer : design.transfers) {
+    if (transfer.op) {
+      op_codes.insert(*transfer.op);
+    }
+  }
+  for (const std::int64_t code : op_codes) {
+    const std::string name = op_constant_name(code);
+    if (!constant_index.contains(name)) {
+      constant_index[name] = add_signal(name, RtValue::of(code));
+    }
+  }
+
+  const auto signal_of = [&](const Endpoint& endpoint) -> std::uint32_t {
+    using Kind = Endpoint::Kind;
+    switch (endpoint.kind) {
+      case Kind::kRegisterOut:
+        return plan.registers.at(register_index.at(endpoint.resource)).out;
+      case Kind::kRegisterIn:
+        return plan.registers.at(register_index.at(endpoint.resource)).in;
+      case Kind::kModuleOut:
+        return plan.modules.at(module_index.at(endpoint.resource)).out;
+      case Kind::kModuleIn:
+        return plan.modules.at(module_index.at(endpoint.resource))
+            .inputs.at(endpoint.port);
+      case Kind::kModuleOp: {
+        const std::uint32_t op =
+            plan.modules.at(module_index.at(endpoint.resource)).op;
+        if (op == LanePlan::kNoSignal) {
+          throw std::invalid_argument("module '" + endpoint.resource +
+                                      "' has no operation port");
+        }
+        return op;
+      }
+      case Kind::kBus:
+        return bus_index.at(endpoint.resource);
+      case Kind::kConstant:
+        return constant_index.at(endpoint.resource);
+      case Kind::kInput:
+        return plan.input_index.at(endpoint.resource);
+    }
+    throw std::logic_error("lower_lane_plan: corrupt endpoint kind");
+  };
+
+  // --- per-cycle lists, built in ordinal order straight into the flat
+  // arrays. Cycle d fires level d-1 of the schedule and releases what cycle
+  // d-1 fired; its update list is the event kernel's pending order after
+  // cycle d-1, statically derived, with the always-lane-uniform entries
+  // folded into the counters instead of materialized:
+  //   - CS/PH assignments are one update + one event each for every lane
+  //     (CS steps 0 -> 1 -> ... -> cs_max, PH walks the six-phase wheel from
+  //     its cr initial — every assignment changes the value);
+  //   - externally set inputs are per-lane *counts* added at cycle 1 (the
+  //     value itself is published at set-input time, before the stats
+  //     window, exactly like RtModel::set_input in compiled mode).
+  // Register preloads stay materialized as (dirty-gated) register-out
+  // entries, like any other latch.
+  const unsigned cs_max = design.cs_max;
+  plan.wheel_cycles = static_cast<std::uint64_t>(cs_max) * rtl::kPhasesPerStep;
+  plan.cycles.resize(plan.wheel_cycles + 2);  // [0] unused; last = trailing
+  std::unordered_map<std::uint32_t, std::uint32_t> slot_of;
+  std::vector<std::uint64_t> sink_stamp;
+  for (std::uint64_t d = 1; d <= plan.wheel_cycles + 1; ++d) {
+    LanePlan::Cycle& cycle = plan.cycles[d];
+    // Opening this cycle's slices also closes the previous cycle's.
+    cycle.fires = static_cast<std::uint32_t>(plan.fires.size());
+    cycle.releases = static_cast<std::uint32_t>(plan.releases.size());
+    cycle.updates = static_cast<std::uint32_t>(plan.updates.size());
+    const auto [step, phase] = rtl::Controller::locate(d);
+    cycle.step = step;
+    cycle.phase = phase;
+    const bool in_wheel = d <= plan.wheel_cycles;
+    cycle.eval_modules =
+        in_wheel && phase == rtl::Phase::kCm && !plan.modules.empty();
+    cycle.latch_registers =
+        in_wheel && phase == rtl::kPhaseHigh && !plan.registers.empty();
+
+    // Update list.
+    const auto add = [&plan](LanePlan::Update::Kind kind, std::uint32_t index) {
+      plan.updates.push_back(LanePlan::Update{kind, index});
+    };
+    if (d == 1) {
+      if (cs_max > 0) {
+        cycle.uniform_updates += 2;
+        cycle.uniform_events += 2;
+      }
+      for (const std::uint32_t reg : plan.preloaded_registers) {
+        add(LanePlan::Update::Kind::kRegisterOut, reg);
+      }
+    } else {
+      const LanePlan::Cycle& prev = plan.cycles[d - 1];
+      sink_stamp.resize(plan.slots.size(), 0);
+      const auto add_sink = [&](std::uint32_t slot) {
+        if (sink_stamp[slot] != d) {
+          sink_stamp[slot] = d;
+          add(LanePlan::Update::Kind::kSink, slot);
+        }
+      };
+      if (prev.eval_modules) {
+        for (std::uint32_t m = 0; m < plan.modules.size(); ++m) {
+          add(LanePlan::Update::Kind::kModuleOut, m);
+        }
+      }
+      for (const LanePlan::Fire& fire : plan.fires_at(d - 1)) {
+        add_sink(fire.slot);
+      }
+      if (prev.latch_registers) {
+        for (std::uint32_t r = 0; r < plan.registers.size(); ++r) {
+          add(LanePlan::Update::Kind::kRegisterOut, r);
+        }
+      }
+      for (const LanePlan::Release& release : plan.releases_at(d - 1)) {
+        add_sink(release.slot);
+      }
+      if (prev.phase == rtl::kPhaseHigh) {
+        if (prev.step < cs_max) {
+          cycle.uniform_updates += 2;
+          cycle.uniform_events += 2;
+        }
+      } else {
+        cycle.uniform_updates += 1;
+        cycle.uniform_events += 1;
+      }
+    }
+    for (std::size_t u = cycle.updates; u < plan.updates.size(); ++u) {
+      // Sink and module-out updates are unconditional for every lane;
+      // register-out updates only count when the lane's latch is dirty.
+      if (plan.updates[u].kind != LanePlan::Update::Kind::kRegisterOut) {
+        ++cycle.uniform_updates;
+      }
+    }
+
+    // Fires: level d-1 of the schedule, in stream order, each with its own
+    // driver row on its sink's slot.
+    if (in_wheel) {
+      for (const TransInstance& instance : schedule.levels[d - 1].fires) {
+        const std::uint32_t sink = signal_of(instance.sink);
+        const auto [it, inserted] = slot_of.try_emplace(
+            sink, static_cast<std::uint32_t>(plan.slots.size()));
+        if (inserted) {
+          plan.slots.push_back(LanePlan::SinkSlot{sink, 0, 0});
+        }
+        const std::uint32_t driver = plan.slots[it->second].drivers++;
+        plan.fires.push_back(
+            LanePlan::Fire{it->second, driver, signal_of(instance.source)});
+      }
+    }
+
+    // Releases: every fire of the previous cycle drives DISC now.
+    if (d > 1) {
+      for (const LanePlan::Fire& fire : plan.fires_at(d - 1)) {
+        plan.releases.push_back(LanePlan::Release{fire.slot, fire.driver});
+      }
+    }
+
+    if (in_wheel) {
+      // Transactions every lane performs this cycle: fires, releases, one
+      // evaluation per module, plus the controller's CS/PH drives (both when
+      // cr opens the next step, nothing at the final cr, PH elsewhere).
+      // Register latches are gated on a non-DISC input and stay per-lane.
+      const std::uint32_t controller =
+          phase == rtl::kPhaseHigh ? (step < cs_max ? 2u : 0u) : 1u;
+      cycle.uniform_transactions =
+          static_cast<std::uint32_t>(plan.fires.size() - cycle.fires +
+                                     plan.releases.size() - cycle.releases) +
+          (cycle.eval_modules ? static_cast<std::uint32_t>(plan.modules.size())
+                              : 0u) +
+          controller;
+    }
+  }
+
+  // The plan lives as long as its cache entry: drop the growth slack.
+  plan.fires.shrink_to_fit();
+  plan.releases.shrink_to_fit();
+  plan.updates.shrink_to_fit();
+
+  std::uint32_t contrib_base = 0;
+  for (LanePlan::SinkSlot& slot : plan.slots) {
+    slot.contrib_base = contrib_base;
+    contrib_base += slot.drivers;
+  }
+  plan.total_drivers = contrib_base;
+
+  for (const LanePlan::Update& entry : plan.updates_at(plan.wheel_cycles + 1)) {
+    if (entry.kind == LanePlan::Update::Kind::kSink) {
+      plan.trailing_has_static_updates = true;
+      break;
+    }
+  }
+  plan.init_transactions =
+      (cs_max > 0 ? 2u : 0u) + plan.preloaded_registers.size();
+  return plan;
+}
+
+}  // namespace ctrtl::transfer

@@ -163,6 +163,7 @@ StaticSchedule lower_schedule(const Design& design,
 std::shared_ptr<const CompiledDesign> CompiledDesign::compile(Design design) {
   auto compiled = std::make_shared<CompiledDesign>();
   compiled->schedule = lower_schedule(design);
+  compiled->plan = lower_lane_plan(design, compiled->schedule);
   compiled->design = std::move(design);
   return compiled;
 }
@@ -171,6 +172,7 @@ std::shared_ptr<const CompiledDesign> CompiledDesign::compile(
     Design design, std::vector<TransInstance> instances) {
   auto compiled = std::make_shared<CompiledDesign>();
   compiled->schedule = lower_schedule(design, std::move(instances));
+  compiled->plan = lower_lane_plan(design, compiled->schedule);
   compiled->design = std::move(design);
   return compiled;
 }

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "transfer/design.h"
+#include "transfer/lane_plan.h"
 #include "transfer/tuple.h"
 
 namespace ctrtl::transfer {
@@ -68,17 +69,22 @@ struct StaticSchedule {
 [[nodiscard]] StaticSchedule lower_schedule(const Design& design,
                                             std::vector<TransInstance> instances);
 
-/// A design paired with its statically lowered schedule, lowered exactly
-/// once. Every consumer — per-instance compiled models, the lane engine,
-/// tools — shares the same immutable tables read-only; the shared_ptr makes
-/// the sharing explicit across `rtl::BatchRunner` instances and worker
-/// threads (lowering N times for an N-instance batch was pure elaboration
-/// overhead, see build_model(const CompiledDesign&)).
+/// A design paired with its statically lowered schedule and the lane
+/// engine's plan, both lowered exactly once. Every consumer — per-instance
+/// compiled models, the lane engine, tools — shares the same immutable
+/// tables read-only; the shared_ptr makes the sharing explicit across
+/// `rtl::BatchRunner` instances and worker threads (lowering N times for an
+/// N-instance batch was pure elaboration overhead, see
+/// build_model(const CompiledDesign&)). `ctrtl_serve` caches this object,
+/// so a cache hit runs without rebuilding any table.
 struct CompiledDesign {
   Design design;
   StaticSchedule schedule;
+  /// What `rtl::LaneEngine` executes (`lower_lane_plan` over `schedule`).
+  LanePlan plan;
 
-  /// Validates and lowers `design` (throws like `lower_schedule`).
+  /// Validates and lowers `design` (throws like `lower_schedule`, and like
+  /// `lower_lane_plan`).
   [[nodiscard]] static std::shared_ptr<const CompiledDesign> compile(Design design);
 
   /// Validates `design` but lowers the explicit `instances` stream instead

@@ -1,6 +1,7 @@
 #include "transfer/text_format.h"
 
 #include <charconv>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <vector>
@@ -111,15 +112,43 @@ struct LineParser {
     if (!text) {
       return std::nullopt;
     }
+    return number(*text, what);
+  }
+
+  std::optional<std::int64_t> number(const std::string& text, const char* what) {
     std::int64_t value = 0;
     const auto [ptr, ec] =
-        std::from_chars(text->data(), text->data() + text->size(), value);
-    if (ec != std::errc() || ptr != text->data() + text->size()) {
-      diags->error(std::string("bad ") + what + " '" + *text + "'",
+        std::from_chars(text.data(), text.data() + text.size(), value);
+    if (ec != std::errc() || ptr != text.data() + text.size()) {
+      diags->error(std::string("bad ") + what + " '" + text + "'",
                    common::SourceLocation{line, 1});
       return std::nullopt;
     }
     return value;
+  }
+
+  /// A step number, latency, bit count or cs_max: a `number` in
+  /// 0..UINT_MAX, so narrowing it to `unsigned` never wraps.
+  std::optional<unsigned> count(const std::string& text, const char* what) {
+    const auto value = number(text, what);
+    if (!value) {
+      return std::nullopt;
+    }
+    if (*value < 0 || *value > std::numeric_limits<unsigned>::max()) {
+      diags->error(std::string(what) + " '" + text + "' out of range 0.." +
+                       std::to_string(std::numeric_limits<unsigned>::max()),
+                   common::SourceLocation{line, 1});
+      return std::nullopt;
+    }
+    return static_cast<unsigned>(*value);
+  }
+
+  std::optional<unsigned> count(const char* what) {
+    const auto text = word(what);
+    if (!text) {
+      return std::nullopt;
+    }
+    return count(*text, what);
   }
 };
 
@@ -187,8 +216,8 @@ Design parse_design(std::string_view text, common::DiagnosticBag& diags) {
         design.name = *name;
       }
     } else if (keyword == "cs_max") {
-      if (const auto n = lp.number("cs_max value")) {
-        design.cs_max = static_cast<unsigned>(*n);
+      if (const auto n = lp.count("cs_max value")) {
+        design.cs_max = *n;
       }
     } else if (keyword == "register") {
       const auto name = lp.word("register name");
@@ -239,16 +268,16 @@ Design parse_design(std::string_view text, common::DiagnosticBag& diags) {
           break;
         }
         if (*option == "latency") {
-          if (const auto n = lp.number("latency")) {
-            module.latency = static_cast<unsigned>(*n);
+          if (const auto n = lp.count("latency")) {
+            module.latency = *n;
           }
         } else if (*option == "frac") {
-          if (const auto n = lp.number("frac bits")) {
-            module.frac_bits = static_cast<unsigned>(*n);
+          if (const auto n = lp.count("frac bits")) {
+            module.frac_bits = *n;
           }
         } else if (*option == "iters") {
-          if (const auto n = lp.number("iterations")) {
-            module.iterations = static_cast<unsigned>(*n);
+          if (const auto n = lp.count("iterations")) {
+            module.iterations = *n;
           }
         } else {
           diags.error("unknown module option '" + *option + "'",
@@ -275,12 +304,11 @@ Design parse_design(std::string_view text, common::DiagnosticBag& diags) {
       t.operand_a = parse_operand(*src_a, *bus_a);
       t.operand_b = parse_operand(*src_b, *bus_b);
       if (*read != "-") {
-        t.read_step = static_cast<unsigned>(std::strtoul(read->c_str(), nullptr, 10));
+        t.read_step = lp.count(*read, "read step");
       }
       t.module = *module;
       if (*write != "-") {
-        t.write_step =
-            static_cast<unsigned>(std::strtoul(write->c_str(), nullptr, 10));
+        t.write_step = lp.count(*write, "write step");
       }
       if (*wbus != "-") {
         t.write_bus = *wbus;

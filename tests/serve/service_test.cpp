@@ -9,8 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -112,11 +115,37 @@ TEST(ServiceTest, SecondIdenticalJobSkipsLoweringWithIdenticalReports) {
 
   // The cache-hit counter is the observable proof the second job skipped
   // lowering.
-  const StatsPayload stats = service.stats();
+  StatsPayload stats = service.stats();
   EXPECT_EQ(stats.cache_hits, 1u);
   EXPECT_EQ(stats.cache_misses, 1u);
   EXPECT_EQ(stats.jobs_completed, 2u);
   EXPECT_EQ(stats.instances_completed, 6u);
+  EXPECT_TRUE(service.cache().indexed({kFig1, false, ""}))
+      << "the resubmitted bytes are served by the request-bytes index";
+
+  // A byte-identical resubmission under the first job's id streams
+  // byte-identical REPORT frames.
+  Collector again;
+  ASSERT_EQ(service.submit(fig1_job("cold", 3), again.sink()).status,
+            SubmitStatus::kAccepted);
+  again.wait();
+  DonePayload again_done;
+  ASSERT_TRUE(parse_done(again.last().payload, &again_done, &error)) << error;
+  EXPECT_TRUE(again_done.cache_hit);
+  EXPECT_EQ(again_done.cache_key, cold_done.cache_key);
+  EXPECT_EQ(again_done.lower_ns, 0u);
+  const auto payloads = [](const std::vector<Frame>& frames) {
+    std::vector<std::string> out;
+    for (const Frame& frame : frames) {
+      out.push_back(frame.payload);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  EXPECT_EQ(payloads(again.reports()), payloads(cold.reports()));
+  stats = service.stats();
+  EXPECT_EQ(stats.cache_hits, 2u);
+  EXPECT_EQ(stats.cache_misses, 1u);
 
   // Byte-identical streamed reports (modulo the job-id line, which is the
   // only intentional difference).
@@ -130,6 +159,174 @@ TEST(ServiceTest, SecondIdenticalJobSkipsLoweringWithIdenticalReports) {
     return out;
   };
   EXPECT_EQ(normalize(cold.reports()), normalize(warm.reports()));
+}
+
+/// Submits one job and waits for its terminal frame. A job the service
+/// does not accept leaves the collector without frames.
+std::unique_ptr<Collector> run_job(SimulationService& service,
+                                   JobRequest request) {
+  auto collector = std::make_unique<Collector>();
+  const SubmitStatus status =
+      service.submit(std::move(request), collector->sink()).status;
+  EXPECT_EQ(status, SubmitStatus::kAccepted);
+  if (status == SubmitStatus::kAccepted) {
+    collector->wait();
+  }
+  return collector;
+}
+
+DonePayload done_of(const Collector& collector) {
+  DonePayload done;
+  std::string error;
+  if (collector.frames.empty()) {
+    ADD_FAILURE() << "the job produced no frames";
+    return done;
+  }
+  EXPECT_EQ(collector.last().type, MessageType::kDone);
+  EXPECT_TRUE(parse_done(collector.last().payload, &done, &error)) << error;
+  return done;
+}
+
+TEST(ServiceTest, ReformattedDesignIsACanonicalHitThenAnIndexHit) {
+  SimulationService service(one_worker());
+  const DonePayload cold = done_of(*run_job(service, fig1_job("cold")));
+  EXPECT_FALSE(cold.cache_hit);
+
+  // Same design, different bytes: comments, blank lines, extra spaces.
+  JobRequest variant = fig1_job("variant");
+  variant.design_text = "# fig1, reformatted\n\n" + std::string(kFig1);
+  variant.design_text.replace(variant.design_text.find("cs_max 7"), 8,
+                              "cs_max    7   # seven steps");
+  ASSERT_FALSE(service.cache().indexed({variant.design_text, false, ""}));
+  const DonePayload canonical = done_of(*run_job(service, variant));
+  EXPECT_TRUE(canonical.cache_hit);
+  EXPECT_EQ(canonical.cache_key, cold.cache_key);
+  EXPECT_EQ(canonical.lower_ns, 0u);
+
+  // The variant's bytes are now the entry's alias, so a repeat of the
+  // variant hits through the index.
+  EXPECT_TRUE(service.cache().indexed({variant.design_text, false, ""}));
+  variant.job_id = "variant-again";
+  const DonePayload indexed = done_of(*run_job(service, variant));
+  EXPECT_TRUE(indexed.cache_hit);
+  EXPECT_EQ(indexed.cache_key, cold.cache_key);
+  EXPECT_EQ(indexed.lower_ns, 0u);
+
+  const StatsPayload stats = service.stats();
+  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_EQ(stats.cache_hits, 2u);
+}
+
+TEST(ServiceTest, CapacityOneAlternatingDesignsMissEveryTime) {
+  ServiceOptions options = one_worker();
+  options.cache_capacity = 1;
+  SimulationService service(options);
+  JobRequest other = fig1_job("other");
+  other.design_text.replace(other.design_text.find("init 30"), 7, "init 29");
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_FALSE(done_of(*run_job(service, fig1_job("fig1"))).cache_hit);
+    EXPECT_FALSE(done_of(*run_job(service, other)).cache_hit);
+  }
+  const StatsPayload stats = service.stats();
+  EXPECT_EQ(stats.cache_misses, 6u);
+  EXPECT_EQ(stats.cache_hits, 0u);
+  EXPECT_EQ(stats.cache_evictions, 5u);
+}
+
+TEST(ServiceTest, FailingSourcesFailTheSameWayWhenResubmitted) {
+  SimulationService service(one_worker());
+  JobRequest unparseable = fig1_job("parse");
+  unparseable.design_text = "this is not a design\n";
+  JobRequest bad_plan = fig1_job("plan");
+  bad_plan.has_fault_plan = true;
+  bad_plan.fault_plan_text = "force-bus NOSUCHBUS = 1 @5:ra\n";
+  JobRequest invalid = fig1_job("validate");
+  invalid.design_text.replace(invalid.design_text.find("5 ADD"), 5, "5 NOPE");
+  const std::vector<std::pair<JobRequest, ErrorCode>> cases = {
+      {unparseable, ErrorCode::kParse},
+      {bad_plan, ErrorCode::kFaultPlan},
+      {invalid, ErrorCode::kValidate},
+  };
+  for (const auto& [request, code] : cases) {
+    std::vector<ErrorPayload> errors;
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      const auto collector = run_job(service, request);
+      ASSERT_FALSE(collector->frames.empty());
+      ASSERT_EQ(collector->last().type, MessageType::kError);
+      ErrorPayload parsed;
+      std::string error;
+      ASSERT_TRUE(parse_error(collector->last().payload, &parsed, &error))
+          << error;
+      EXPECT_EQ(parsed.code, code) << request.job_id;
+      errors.push_back(parsed);
+    }
+    EXPECT_EQ(errors[0], errors[1]) << request.job_id;
+    EXPECT_FALSE(service.cache().indexed(
+        {request.design_text, request.has_fault_plan, request.fault_plan_text}))
+        << "only sources that compiled enter the index";
+  }
+  EXPECT_EQ(service.stats().cache_entries, 0u);
+}
+
+TEST(ServiceTest, SnapshotBootAnswersTheFirstJobFromTheCache) {
+  const std::string path = testing::TempDir() + "service_boot_hit_test.snap";
+  std::remove(path.c_str());
+  ServiceOptions options = one_worker();
+  options.snapshot_path = path;
+  std::string key;
+  {
+    SimulationService first(options);
+    const DonePayload done = done_of(*run_job(first, fig1_job("journaled")));
+    EXPECT_FALSE(done.cache_hit);
+    key = done.cache_key;
+  }
+  SimulationService booted(options);
+  EXPECT_EQ(booted.stats().snapshot_records_loaded, 1u);
+  const DonePayload done = done_of(*run_job(booted, fig1_job("first")));
+  EXPECT_TRUE(done.cache_hit);
+  EXPECT_EQ(done.lower_ns, 0u);
+  EXPECT_EQ(done.cache_key, key);
+  const StatsPayload stats = booted.stats();
+  EXPECT_EQ(stats.cache_hits, 1u);
+  EXPECT_EQ(stats.cache_misses, 1u) << "the boot replay's own lowering";
+  std::remove(path.c_str());
+}
+
+TEST(ServiceTest, EveryJobThatReachesTheCacheIsOneLookup) {
+  SimulationService service(one_worker());
+  JobRequest reformatted = fig1_job("reformatted");
+  reformatted.design_text = "# comment\n" + std::string(kFig1);
+  JobRequest faulted = fig1_job("faulted");
+  faulted.has_fault_plan = true;
+  faulted.fault_plan_text = "force-bus B1 = 99 @5:ra\n";
+  JobRequest invalid = fig1_job("validate");
+  invalid.design_text.replace(invalid.design_text.find("5 ADD"), 5, "5 NOPE");
+  JobRequest unparseable = fig1_job("parse");
+  unparseable.design_text = "garbage\n";
+
+  // E-PARSE and E-FAULT-PLAN end before the cache; E-VALIDATE is a miss
+  // whose lowering threw.
+  const std::vector<JobRequest> jobs = {
+      fig1_job("a"), fig1_job("b"), reformatted, reformatted, faulted,
+      faulted,       invalid,       invalid,     unparseable, fig1_job("c")};
+  std::uint64_t reached = 0;
+  for (const JobRequest& job : jobs) {
+    const auto collector = run_job(service, job);
+    ASSERT_FALSE(collector->frames.empty());
+    const Frame& terminal = collector->last();
+    ErrorPayload parsed;
+    std::string error;
+    const bool validate_error = terminal.type == MessageType::kError &&
+                                parse_error(terminal.payload, &parsed, &error) &&
+                                parsed.code == ErrorCode::kValidate;
+    if (terminal.type == MessageType::kDone || validate_error) {
+      ++reached;
+    }
+  }
+  EXPECT_EQ(reached, 9u);
+  const StatsPayload stats = service.stats();
+  EXPECT_EQ(stats.cache_hits + stats.cache_misses, reached);
+  EXPECT_EQ(stats.cache_misses, 4u) << "fig1, faulted, invalid twice";
 }
 
 TEST(ServiceTest, ReportsAreByteIdenticalToDirectBatchRunnerRun) {

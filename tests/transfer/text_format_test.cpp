@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "rtl/modules.h"
 #include "verify/random_design.h"
 
@@ -119,6 +121,42 @@ TEST(TextFormat, BadNumbersReported) {
   common::DiagnosticBag diags;
   (void)parse_design("cs_max banana\n", diags);
   EXPECT_TRUE(diags.has_errors());
+
+  // Counts narrowed to unsigned must be range-checked, not wrapped, and
+  // step numbers must be whole numbers; each error names its line.
+  const std::string header = "design d\ncs_max 7\nregister R1\nbus B1\n";
+  const std::string module = "module ADD add\n";
+  for (const std::string& text : {
+           std::string("design d\ncs_max -1\n"),
+           std::string("design d\ncs_max 99999999999\n"),
+           std::string("design d\ncs_max 99999999999999999999\n"),
+           header + "module ADD add latency -1\n",
+           header + "module ADD add latency 4294967296\n",
+           header + "module ADD add frac -3\n",
+           header + "module ADD add iters 99999999999\n",
+           header + module + "transfer R1 B1 - - 5x ADD 6 B1 R1\n",
+           header + module + "transfer R1 B1 - - abc ADD 6 B1 R1\n",
+           header + module + "transfer R1 B1 - - 5 ADD -6 B1 R1\n",
+           header + module + "transfer R1 B1 - - 5 ADD 4294967296 B1 R1\n",
+       }) {
+    common::DiagnosticBag bag;
+    (void)parse_design(text, bag);
+    ASSERT_TRUE(bag.has_errors()) << text;
+    const unsigned last_line = static_cast<unsigned>(
+        std::count(text.begin(), text.end(), '\n'));
+    EXPECT_EQ(bag.entries().front().location.line, last_line) << text;
+  }
+
+  // The bounds themselves still parse.
+  common::DiagnosticBag bounds;
+  const Design design = parse_design(
+      header + "module ADD add latency 0\n"
+               "transfer R1 B1 - - 4294967295 ADD 0 B1 R1\n",
+      bounds);
+  EXPECT_FALSE(bounds.has_errors()) << bounds.to_text();
+  ASSERT_EQ(design.transfers.size(), 1u);
+  EXPECT_EQ(design.transfers[0].read_step, 4294967295u);
+  EXPECT_EQ(design.transfers[0].write_step, 0u);
 }
 
 TEST(TextFormat, TruncatedTransferReported) {

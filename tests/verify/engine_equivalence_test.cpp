@@ -230,8 +230,26 @@ TEST(LaneEngine, TableStatsReflectLoweredDesign) {
   // One fire and one release per TRANS instance of the tuple.
   EXPECT_EQ(stats.fire_actions, 6u);
   EXPECT_EQ(stats.release_actions, 6u);
+  // 2 preloads, 12 sink re-resolutions (one per fire and release), the ADD
+  // output after each of the 7 cm cycles, both register outputs after each
+  // of the 7 cr cycles.
+  EXPECT_EQ(stats.update_entries, 2u + 12u + 7u + 14u);
   EXPECT_EQ(stats.modules, 1u);
   EXPECT_EQ(stats.registers, 2u);
+}
+
+TEST(LaneEngine, BatchRunnersShareTheCompiledPlan) {
+  // The plan is lowered by CompiledDesign::compile, not per runner: every
+  // runner over one compiled design executes the same plan object.
+  const auto design = transfer::CompiledDesign::compile(fig1_design());
+  const rtl::BatchRunOptions options{.engine =
+                                         rtl::BatchEngineKind::kCompiledLanes};
+  const rtl::BatchRunner first(design, options);
+  const rtl::BatchRunner second(design, options);
+  ASSERT_NE(first.lane_engine(), nullptr);
+  ASSERT_NE(second.lane_engine(), nullptr);
+  EXPECT_EQ(&first.lane_engine()->plan(), &design->plan);
+  EXPECT_EQ(&second.lane_engine()->plan(), &design->plan);
 }
 
 TEST(LaneEngine, SharedScheduleLoweredOnce) {
