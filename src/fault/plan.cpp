@@ -1,5 +1,6 @@
 #include "fault/plan.h"
 
+#include <charconv>
 #include <sstream>
 
 namespace ctrtl::fault {
@@ -81,14 +82,11 @@ bool parse_at(const std::string& token, unsigned line, FaultSpec& spec,
   const std::string body = token.substr(1);
   const std::size_t colon = body.find(':');
   const std::string step_text = body.substr(0, colon);
-  try {
-    std::size_t consumed = 0;
-    const unsigned long step = std::stoul(step_text, &consumed);
-    if (consumed != step_text.size()) {
-      throw std::invalid_argument(step_text);
-    }
-    spec.step = static_cast<unsigned>(step);
-  } catch (const std::exception&) {
+  // An unsigned decimal in 0..UINT_MAX, as in the .rtd grammar: no sign,
+  // and nothing that would wrap when narrowed to `unsigned`.
+  const char* const end = step_text.data() + step_text.size();
+  const auto [ptr, ec] = std::from_chars(step_text.data(), end, spec.step);
+  if (ec != std::errc() || ptr != end) {
     diags.error("bad control step '" + step_text + "'",
                 common::SourceLocation{line, 1});
     return false;

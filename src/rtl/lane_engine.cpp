@@ -5,27 +5,105 @@
 #include <span>
 #include <stdexcept>
 
+#include "rtl/modules.h"
 #include "transfer/module_sim.h"
 
 namespace ctrtl::rtl {
 
-/// All mutable state of one block of lanes, structure-of-arrays: every array
+namespace {
+
+using Tag = RtValue::Kind;
+constexpr Tag kDisc = Tag::kDisc;
+constexpr Tag kIllegal = Tag::kIllegal;
+constexpr Tag kValue = Tag::kValue;
+
+/// Rows of values, one cell per lane, split into a one-byte tag plane and an
+/// `int64` payload plane that holds 0 for DISC and ILLEGAL. Both planes are
+/// indexed `row * lanes + lane`, so comparing a cell's tag and payload is
+/// exactly `RtValue` equality.
+struct Planes {
+  std::size_t lanes = 0;
+  std::vector<Tag> tags;
+  std::vector<std::int64_t> payloads;
+
+  /// `rows` rows, every cell DISC.
+  void assign(std::size_t rows, std::size_t lane_count) {
+    lanes = lane_count;
+    tags.assign(rows * lanes, kDisc);
+    payloads.assign(rows * lanes, 0);
+  }
+
+  [[nodiscard]] Tag* tag_row(std::size_t row) { return tags.data() + row * lanes; }
+  [[nodiscard]] std::int64_t* payload_row(std::size_t row) {
+    return payloads.data() + row * lanes;
+  }
+
+  void set(std::size_t row, std::size_t lane, const RtValue& value) {
+    tags[row * lanes + lane] = value.kind();
+    payloads[row * lanes + lane] = value.has_value() ? value.payload() : 0;
+  }
+
+  [[nodiscard]] RtValue get(std::size_t row, std::size_t lane) const {
+    switch (tags[row * lanes + lane]) {
+      case kValue:
+        return RtValue::of(payloads[row * lanes + lane]);
+      case kIllegal:
+        return RtValue::illegal();
+      case kDisc:
+        break;
+    }
+    return RtValue::disc();
+  }
+};
+
+/// Whether a module kind runs as a per-block kernel; the op-port kinds (ALU,
+/// MACC, CORDIC) keep one `transfer::ModuleSim` per lane.
+bool has_kernel(transfer::ModuleKind kind) {
+  switch (kind) {
+    case transfer::ModuleKind::kAdd:
+    case transfer::ModuleKind::kSub:
+    case transfer::ModuleKind::kMul:
+    case transfer::ModuleKind::kCopy:
+      return true;
+    case transfer::ModuleKind::kAlu:
+    case transfer::ModuleKind::kMacc:
+    case transfer::ModuleKind::kCordic:
+      break;
+  }
+  return false;
+}
+
+}  // namespace
+
+/// All mutable state of one block of lanes, structure-of-arrays: every plane
 /// is indexed `row * lanes + lane`, so the per-lane inner loops in
 /// `execute_cycle` walk contiguous memory. Stack-local to `run_block` — the
 /// engine itself stays immutable and shareable across threads.
 struct LaneEngine::LaneBlock {
+  /// Where one module's per-lane state lives.
+  struct ModuleLanes {
+    std::size_t ring = 0;  ///< kernel kinds: first row of its `ring` rows
+    std::size_t head = 0;  ///< kernel kinds: ring offset of the oldest row
+    std::size_t sims = 0;  ///< ModuleSim kinds: first of its `sims`
+  };
+
   std::size_t lanes = 0;
 
-  std::vector<RtValue> values;             ///< signals × lanes
-  std::vector<RtValue> contributions;      ///< total drivers × lanes
-  std::vector<std::uint32_t> non_disc;     ///< sink slots × lanes
-  std::vector<std::uint32_t> illegal;      ///< sink slots × lanes
-  std::vector<std::uint32_t> last_driver;  ///< sink slots × lanes
-  std::vector<transfer::ModuleSim> sims;   ///< modules × lanes
-  std::vector<RtValue> module_pending;     ///< modules × lanes
-  std::vector<RtValue> reg_pending;        ///< registers × lanes
-  std::vector<std::uint8_t> reg_dirty;     ///< registers × lanes
-  std::vector<RtValue> scratch;            ///< one module's operands
+  Planes values;                             ///< signals × lanes
+  Planes contributions;                      ///< total drivers × lanes
+  Planes idle;                               ///< one all-DISC row (releases)
+  std::vector<std::uint32_t> non_disc;       ///< sink slots × lanes
+  std::vector<std::uint32_t> illegal;        ///< sink slots × lanes
+  std::vector<std::uint64_t> value_sum;      ///< sink slots × lanes, wrapping
+  std::vector<ModuleLanes> module_lanes;     ///< one per module
+  Planes ring;                               ///< kernel-module latencies × lanes
+  std::vector<std::uint8_t> poisoned;        ///< modules × lanes
+  std::vector<transfer::ModuleSim> sims;     ///< ModuleSim-kind modules × lanes
+  std::vector<RtValue> scratch;              ///< one ModuleSim's operands
+  Planes module_pending;                     ///< modules × lanes
+  Planes reg_pending;                        ///< registers × lanes
+  std::vector<std::uint8_t> reg_dirty;       ///< registers × lanes
+  std::vector<std::uint8_t> turned_illegal;  ///< lanes: one sink kernel's mask
 
   // Lane-varying counter parts; the lane-uniform parts accumulate as
   // scalars in run_block and are added once at collection time.
@@ -34,54 +112,134 @@ struct LaneEngine::LaneBlock {
   std::vector<std::uint64_t> lane_transactions;
   std::vector<std::vector<Conflict>> conflicts;
 
-  /// CompiledEngine::write_contribution, one lane: swaps the contribution
-  /// and maintains the slot's non-DISC/ILLEGAL counters and value cache.
-  void write_contribution(const SinkSlot& slot, std::uint32_t slot_index,
-                          std::uint32_t driver, std::size_t lane,
-                          const RtValue& value) {
-    RtValue& contribution =
-        contributions[(slot.contrib_base + driver) * lanes + lane];
-    const std::size_t counter = slot_index * lanes + lane;
-    if (!contribution.is_disc()) {
-      --non_disc[counter];
-    }
-    if (contribution.is_illegal()) {
-      --illegal[counter];
-    }
-    contribution = value;
-    if (!value.is_disc()) {
-      ++non_disc[counter];
-      last_driver[counter] = driver;
-    }
-    if (value.is_illegal()) {
-      ++illegal[counter];
+  /// CompiledEngine::write_contribution over the block: drives one
+  /// contribution row with the `source` row and keeps the slot's
+  /// non-DISC/ILLEGAL counters and VALUE payload sum.
+  void drive(std::uint32_t slot_index, const SinkSlot& slot,
+             std::uint32_t driver, Planes& source, std::size_t source_row) {
+    const std::size_t row = slot.contrib_base + driver;
+    Tag* tag = contributions.tag_row(row);
+    std::int64_t* payload = contributions.payload_row(row);
+    const Tag* next_tag = source.tag_row(source_row);
+    const std::int64_t* next_payload = source.payload_row(source_row);
+    std::uint32_t* present = non_disc.data() + slot_index * lanes;
+    std::uint32_t* bad = illegal.data() + slot_index * lanes;
+    std::uint64_t* sum = value_sum.data() + slot_index * lanes;
+    for (std::size_t lane = 0, n = lanes; lane < n; ++lane) {
+      present[lane] += static_cast<std::uint32_t>(next_tag[lane] != kDisc) -
+                       static_cast<std::uint32_t>(tag[lane] != kDisc);
+      bad[lane] += static_cast<std::uint32_t>(next_tag[lane] == kIllegal) -
+                   static_cast<std::uint32_t>(tag[lane] == kIllegal);
+      sum[lane] += static_cast<std::uint64_t>(next_payload[lane]) -
+                   static_cast<std::uint64_t>(payload[lane]);
+      tag[lane] = next_tag[lane];
+      payload[lane] = next_payload[lane];
     }
   }
 
-  /// CompiledEngine::resolve_slot, one lane: `resolve_rt` from the counters,
-  /// with the last-value cache and the rare scan fallback.
-  [[nodiscard]] RtValue resolve(const SinkSlot& slot, std::uint32_t slot_index,
-                                std::size_t lane) const {
-    const std::size_t counter = slot_index * lanes + lane;
-    if (illegal[counter] > 0 || non_disc[counter] > 1) {
-      return RtValue::illegal();
+  /// CompiledEngine::resolve_slot over the block: `resolve_rt` from the
+  /// counters, where a lone non-DISC, non-ILLEGAL driver's payload is the
+  /// slot's payload sum. Marks the lanes whose signal turned ILLEGAL.
+  /// Returns whether any did.
+  bool resolve(std::uint32_t slot_index, const SinkSlot& slot) {
+    Tag* tag = values.tag_row(slot.signal);
+    std::int64_t* payload = values.payload_row(slot.signal);
+    const std::uint32_t* present = non_disc.data() + slot_index * lanes;
+    const std::uint32_t* bad = illegal.data() + slot_index * lanes;
+    const std::uint64_t* sum = value_sum.data() + slot_index * lanes;
+    std::uint64_t* events = lane_events.data();
+    std::uint8_t* turned_at = turned_illegal.data();
+    bool any_illegal = false;
+    for (std::size_t lane = 0, n = lanes; lane < n; ++lane) {
+      Tag next = kValue;
+      std::int64_t next_payload = static_cast<std::int64_t>(sum[lane]);
+      if (bad[lane] > 0 || present[lane] > 1) {
+        next = kIllegal;
+        next_payload = 0;
+      } else if (present[lane] == 0) {
+        next = kDisc;
+        next_payload = 0;
+      }
+      bool turned = false;
+      if (next != tag[lane] || next_payload != payload[lane]) {
+        tag[lane] = next;
+        payload[lane] = next_payload;
+        ++events[lane];
+        turned = next == kIllegal;
+      }
+      turned_at[lane] = turned ? 1 : 0;
+      any_illegal = any_illegal || turned;
     }
-    if (non_disc[counter] == 0) {
-      return RtValue::disc();
-    }
-    const RtValue& cached =
-        contributions[(slot.contrib_base + last_driver[counter]) * lanes + lane];
-    if (!cached.is_disc()) {
-      return cached;
-    }
-    for (std::uint32_t driver = 0; driver < slot.drivers; ++driver) {
-      const RtValue& contribution =
-          contributions[(slot.contrib_base + driver) * lanes + lane];
-      if (!contribution.is_disc()) {
-        return contribution;
+    return any_illegal;
+  }
+
+  /// One `cm` step of a fixed-function module (ADD, SUB, MUL, COPY) over the
+  /// block: `ModuleSim::step` with `apply` as the function. The operand
+  /// discipline is `ModuleSim::evaluate`'s: any ILLEGAL operand, or some but
+  /// not all operands present, gives ILLEGAL; none present gives DISC. A
+  /// pipelined module is a ring of `latency` rows whose head (the oldest
+  /// row) is the same for every lane; an ILLEGAL entering it poisons the
+  /// lane's pipeline for good. A unary kind reads its input as both
+  /// operands, which leaves the discipline unchanged.
+  template <unsigned kArity, typename Apply>
+  void step_kernel(std::size_t m, const transfer::LanePlan::Module& module,
+                   unsigned latency, Apply apply) {
+    const Tag* a_tag = values.tag_row(module.inputs[0]);
+    const std::int64_t* a = values.payload_row(module.inputs[0]);
+    const Tag* b_tag = values.tag_row(module.inputs[kArity - 1]);
+    const std::int64_t* b = values.payload_row(module.inputs[kArity - 1]);
+    Tag* out_tag = module_pending.tag_row(m);
+    std::int64_t* out = module_pending.payload_row(m);
+    ModuleLanes& state = module_lanes[m];
+    Tag* stage_tag = latency > 0 ? ring.tag_row(state.ring + state.head) : nullptr;
+    std::int64_t* stage =
+        latency > 0 ? ring.payload_row(state.ring + state.head) : nullptr;
+    std::uint8_t* lane_poisoned = poisoned.data() + m * lanes;
+    for (std::size_t lane = 0, n = lanes; lane < n; ++lane) {
+      Tag next = kIllegal;
+      std::int64_t next_payload = 0;
+      if (latency == 0 || lane_poisoned[lane] == 0) {
+        if (a_tag[lane] == kValue && b_tag[lane] == kValue) {
+          next = kValue;
+          next_payload = apply(a[lane], b[lane]);
+        } else if (a_tag[lane] == kDisc && b_tag[lane] == kDisc) {
+          next = kDisc;
+        }
+      }
+      if (latency == 0) {
+        out_tag[lane] = next;
+        out[lane] = next_payload;
+        continue;
+      }
+      out_tag[lane] = stage_tag[lane];
+      out[lane] = stage[lane];
+      stage_tag[lane] = next;
+      stage[lane] = next_payload;
+      if (next == kIllegal) {
+        lane_poisoned[lane] = 1;
       }
     }
-    return RtValue::disc();  // unreachable: non_disc == 1
+    if (latency > 0) {
+      state.head = state.head + 1 == latency ? 0 : state.head + 1;
+    }
+  }
+
+  /// One `cm` step of an op-port module (ALU, MACC, CORDIC): its per-lane
+  /// `ModuleSim`s, fed from and written back to the planes.
+  void step_sims(std::size_t m, const transfer::LanePlan::Module& module) {
+    const std::size_t arity = module.inputs.size();
+    transfer::ModuleSim* sim = sims.data() + module_lanes[m].sims;
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      for (std::size_t i = 0; i < arity; ++i) {
+        scratch[i] = values.get(module.inputs[i], lane);
+      }
+      const RtValue op = module.op != transfer::LanePlan::kNoSignal
+                             ? values.get(module.op, lane)
+                             : RtValue::disc();
+      module_pending.set(
+          m, lane,
+          sim[lane].step(std::span<const RtValue>(scratch.data(), arity), op));
+    }
   }
 };
 
@@ -98,19 +256,44 @@ void LaneEngine::execute_cycle(std::uint64_t ordinal, LaneBlock& block) const {
   const transfer::LanePlan::Cycle& plan = tables.cycles[ordinal];
   const std::size_t lanes = block.lanes;
 
+  // Copies the `pending` row into the signal's value row, counting an event
+  // in every lane whose value changed. `gate`, when given, skips the lanes
+  // whose entry is 0 (and clears it in the others) and counts an update in
+  // each lane it lets through.
+  const auto apply_pending = [&block, lanes](std::uint32_t signal,
+                                             Planes& pending,
+                                             std::size_t pending_row,
+                                             std::uint8_t* gate) {
+    Tag* tag = block.values.tag_row(signal);
+    std::int64_t* payload = block.values.payload_row(signal);
+    const Tag* next_tag = pending.tag_row(pending_row);
+    const std::int64_t* next_payload = pending.payload_row(pending_row);
+    std::uint64_t* updates = block.lane_updates.data();
+    std::uint64_t* events = block.lane_events.data();
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      if (gate != nullptr) {
+        if (gate[lane] == 0) {
+          continue;  // no latch this step: the signal was never pending
+        }
+        gate[lane] = 0;
+        ++updates[lane];
+      }
+      if (next_tag[lane] != tag[lane] || next_payload[lane] != payload[lane]) {
+        tag[lane] = next_tag[lane];
+        payload[lane] = next_payload[lane];
+        ++events[lane];
+      }
+    }
+  };
+
   // --- update phase --------------------------------------------------------
   for (const Update& entry : tables.updates_at(ordinal)) {
     switch (entry.kind) {
       case Update::Kind::kSink: {
         const SinkSlot& slot = tables.slots[entry.index];
-        const std::size_t value_row = static_cast<std::size_t>(slot.signal) * lanes;
-        for (std::size_t lane = 0; lane < lanes; ++lane) {
-          const RtValue value = block.resolve(slot, entry.index, lane);
-          RtValue& current = block.values[value_row + lane];
-          if (current != value) {
-            current = value;
-            ++block.lane_events[lane];
-            if (value.is_illegal()) {
+        if (block.resolve(entry.index, slot)) {
+          for (std::size_t lane = 0; lane < lanes; ++lane) {
+            if (block.turned_illegal[lane] != 0) {
               block.conflicts[lane].push_back(
                   Conflict{tables.signal_names[slot.signal], plan.step,
                            plan.phase});
@@ -119,41 +302,16 @@ void LaneEngine::execute_cycle(std::uint64_t ordinal, LaneBlock& block) const {
         }
         break;
       }
-      case Update::Kind::kModuleOut: {
-        const transfer::LanePlan::Module& module = tables.modules[entry.index];
-        const std::size_t value_row = static_cast<std::size_t>(module.out) * lanes;
-        const std::size_t pending_row =
-            static_cast<std::size_t>(entry.index) * lanes;
-        for (std::size_t lane = 0; lane < lanes; ++lane) {
-          RtValue& current = block.values[value_row + lane];
-          const RtValue& pending = block.module_pending[pending_row + lane];
-          if (current != pending) {
-            current = pending;
-            ++block.lane_events[lane];
-          }
-        }
+      case Update::Kind::kModuleOut:
+        apply_pending(tables.modules[entry.index].out, block.module_pending,
+                      entry.index, nullptr);
         break;
-      }
-      case Update::Kind::kRegisterOut: {
-        const transfer::LanePlan::Register& reg = tables.registers[entry.index];
-        const std::size_t value_row = static_cast<std::size_t>(reg.out) * lanes;
-        const std::size_t pending_row =
-            static_cast<std::size_t>(entry.index) * lanes;
-        for (std::size_t lane = 0; lane < lanes; ++lane) {
-          if (block.reg_dirty[pending_row + lane] == 0) {
-            continue;  // no latch this step: the signal was never pending
-          }
-          block.reg_dirty[pending_row + lane] = 0;
-          ++block.lane_updates[lane];
-          RtValue& current = block.values[value_row + lane];
-          const RtValue& pending = block.reg_pending[pending_row + lane];
-          if (current != pending) {
-            current = pending;
-            ++block.lane_events[lane];
-          }
-        }
+      case Update::Kind::kRegisterOut:
+        apply_pending(tables.registers[entry.index].out, block.reg_pending,
+                      entry.index,
+                      block.reg_dirty.data() +
+                          static_cast<std::size_t>(entry.index) * lanes);
         break;
-      }
     }
   }
 
@@ -162,57 +320,65 @@ void LaneEngine::execute_cycle(std::uint64_t ordinal, LaneBlock& block) const {
     return;
   }
   for (const transfer::LanePlan::Fire& fire : tables.fires_at(ordinal)) {
-    const SinkSlot& slot = tables.slots[fire.slot];
-    const std::size_t source_row = static_cast<std::size_t>(fire.source) * lanes;
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      block.write_contribution(slot, fire.slot, fire.driver, lane,
-                               block.values[source_row + lane]);
-    }
+    block.drive(fire.slot, tables.slots[fire.slot], fire.driver, block.values,
+                fire.source);
   }
   if (plan.eval_modules) {
+    const transfer::Design& design = compiled_->design;
     for (std::size_t m = 0; m < tables.modules.size(); ++m) {
+      const transfer::ModuleDecl& decl = design.modules[m];
       const transfer::LanePlan::Module& module = tables.modules[m];
-      const std::size_t arity = module.inputs.size();
-      const std::size_t op_row = module.op != transfer::LanePlan::kNoSignal
-                                     ? static_cast<std::size_t>(module.op) * lanes
-                                     : 0;
-      const std::size_t pending_row = m * lanes;
-      for (std::size_t lane = 0; lane < lanes; ++lane) {
-        for (std::size_t i = 0; i < arity; ++i) {
-          block.scratch[i] =
-              block.values[static_cast<std::size_t>(module.inputs[i]) * lanes +
-                           lane];
+      switch (decl.kind) {
+        case transfer::ModuleKind::kAdd:
+          block.step_kernel<2>(m, module, decl.latency,
+                               [](std::int64_t a, std::int64_t b) { return a + b; });
+          break;
+        case transfer::ModuleKind::kSub:
+          block.step_kernel<2>(m, module, decl.latency,
+                               [](std::int64_t a, std::int64_t b) { return a - b; });
+          break;
+        case transfer::ModuleKind::kMul: {
+          const unsigned frac_bits = decl.frac_bits;
+          block.step_kernel<2>(m, module, decl.latency,
+                               [frac_bits](std::int64_t a, std::int64_t b) {
+                                 return fixed_mul(a, b, frac_bits);
+                               });
+          break;
         }
-        const RtValue op = module.op != transfer::LanePlan::kNoSignal
-                               ? block.values[op_row + lane]
-                               : RtValue::disc();
-        block.module_pending[pending_row + lane] =
-            block.sims[pending_row + lane].step(
-                std::span<const RtValue>(block.scratch.data(), arity), op);
+        case transfer::ModuleKind::kCopy:
+          block.step_kernel<1>(m, module, decl.latency,
+                               [](std::int64_t a, std::int64_t) { return a; });
+          break;
+        case transfer::ModuleKind::kAlu:
+        case transfer::ModuleKind::kMacc:
+        case transfer::ModuleKind::kCordic:
+          block.step_sims(m, module);
+          break;
       }
     }
   }
   if (plan.latch_registers) {
     for (std::size_t r = 0; r < tables.registers.size(); ++r) {
-      const std::size_t value_row =
-          static_cast<std::size_t>(tables.registers[r].in) * lanes;
-      const std::size_t pending_row = r * lanes;
+      const std::uint32_t in = tables.registers[r].in;
+      const Tag* tag = block.values.tag_row(in);
+      const std::int64_t* payload = block.values.payload_row(in);
+      Tag* pending_tag = block.reg_pending.tag_row(r);
+      std::int64_t* pending = block.reg_pending.payload_row(r);
+      std::uint8_t* dirty = block.reg_dirty.data() + r * lanes;
+      std::uint64_t* transactions = block.lane_transactions.data();
       for (std::size_t lane = 0; lane < lanes; ++lane) {
-        const RtValue& value = block.values[value_row + lane];
-        if (!value.is_disc()) {
-          block.reg_pending[pending_row + lane] = value;
-          block.reg_dirty[pending_row + lane] = 1;
-          ++block.lane_transactions[lane];
+        if (tag[lane] != kDisc) {
+          pending_tag[lane] = tag[lane];
+          pending[lane] = payload[lane];
+          dirty[lane] = 1;
+          ++transactions[lane];
         }
       }
     }
   }
   for (const transfer::LanePlan::Release& release : tables.releases_at(ordinal)) {
-    const SinkSlot& slot = tables.slots[release.slot];
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      block.write_contribution(slot, release.slot, release.driver, lane,
-                               RtValue::disc());
-    }
+    block.drive(release.slot, tables.slots[release.slot], release.driver,
+                block.idle, 0);
   }
 }
 
@@ -230,27 +396,44 @@ std::vector<InstanceResult> LaneEngine::run_block(
   LaneBlock block;
   block.lanes = lanes;
   const std::size_t signals = tables.signal_names.size();
-  block.values.resize(signals * lanes);
+  block.values.assign(signals, lanes);
   for (std::size_t s = 0; s < signals; ++s) {
-    std::fill_n(block.values.begin() + static_cast<std::ptrdiff_t>(s * lanes),
-                lanes, tables.signal_initial[s]);
-  }
-  block.contributions.assign(
-      static_cast<std::size_t>(tables.total_drivers) * lanes, RtValue::disc());
-  block.non_disc.assign(tables.slots.size() * lanes, 0);
-  block.illegal.assign(tables.slots.size() * lanes, 0);
-  block.last_driver.assign(tables.slots.size() * lanes, 0);
-  block.module_pending.assign(tables.modules.size() * lanes, RtValue::disc());
-  block.reg_pending.assign(tables.registers.size() * lanes, RtValue::disc());
-  block.reg_dirty.assign(tables.registers.size() * lanes, 0);
-  block.sims.reserve(tables.modules.size() * lanes);
-  std::size_t max_arity = 0;
-  for (std::size_t m = 0; m < tables.modules.size(); ++m) {
-    max_arity = std::max(max_arity, tables.modules[m].inputs.size());
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      block.sims.emplace_back(design.modules[m]);
+    if (!tables.signal_initial[s].is_disc()) {
+      for (std::size_t lane = 0; lane < lanes; ++lane) {
+        block.values.set(s, lane, tables.signal_initial[s]);
+      }
     }
   }
+  block.contributions.assign(tables.total_drivers, lanes);
+  block.idle.assign(1, lanes);
+  block.non_disc.assign(tables.slots.size() * lanes, 0);
+  block.illegal.assign(tables.slots.size() * lanes, 0);
+  block.value_sum.assign(tables.slots.size() * lanes, 0);
+  block.module_pending.assign(tables.modules.size(), lanes);
+  block.reg_pending.assign(tables.registers.size(), lanes);
+  block.reg_dirty.assign(tables.registers.size() * lanes, 0);
+  block.turned_illegal.assign(lanes, 0);
+
+  // Module state by kind: kernel kinds get `latency` ring rows, the others
+  // one ModuleSim per lane.
+  block.module_lanes.resize(tables.modules.size());
+  std::size_t ring_rows = 0;
+  std::size_t max_arity = 0;
+  for (std::size_t m = 0; m < tables.modules.size(); ++m) {
+    const transfer::ModuleDecl& decl = design.modules[m];
+    if (has_kernel(decl.kind)) {
+      block.module_lanes[m].ring = ring_rows;
+      ring_rows += decl.latency;
+      continue;
+    }
+    block.module_lanes[m].sims = block.sims.size();
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      block.sims.emplace_back(decl);
+    }
+    max_arity = std::max(max_arity, tables.modules[m].inputs.size());
+  }
+  block.ring.assign(ring_rows, lanes);
+  block.poisoned.assign(tables.modules.size() * lanes, 0);
   block.scratch.resize(max_arity);
   block.lane_updates.assign(lanes, 0);
   block.lane_events.assign(lanes, 0);
@@ -268,7 +451,7 @@ std::vector<InstanceResult> LaneEngine::run_block(
         if (it == tables.input_index.end()) {
           throw std::invalid_argument("no input named '" + name + "'");
         }
-        block.values[static_cast<std::size_t>(it->second) * lanes + lane] = value;
+        block.values.set(it->second, lane, value);
         if (std::find(touched.begin(), touched.end(), it->second) ==
             touched.end()) {
           touched.push_back(it->second);
@@ -281,14 +464,12 @@ std::vector<InstanceResult> LaneEngine::run_block(
   // --- initialization: controller CS/PH drives and register preloads are
   // transactions scheduled before the first delta cycle -----------------
   for (std::size_t i = 0; i < tables.preloaded_registers.size(); ++i) {
-    const std::size_t pending_row =
-        static_cast<std::size_t>(tables.preloaded_registers[i]) * lanes;
-    std::fill_n(block.reg_pending.begin() +
-                    static_cast<std::ptrdiff_t>(pending_row),
-                lanes, tables.preload_values[i]);
-    std::fill_n(
-        block.reg_dirty.begin() + static_cast<std::ptrdiff_t>(pending_row),
-        lanes, static_cast<std::uint8_t>(1));
+    const std::uint32_t reg = tables.preloaded_registers[i];
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      block.reg_pending.set(reg, lane, tables.preload_values[i]);
+    }
+    std::fill_n(block.reg_dirty.data() + static_cast<std::size_t>(reg) * lanes,
+                lanes, std::uint8_t{1});
   }
   std::uint64_t uniform_updates = 0;
   std::uint64_t uniform_events = 0;
@@ -389,8 +570,7 @@ std::vector<InstanceResult> LaneEngine::run_block(
     for (std::size_t r = 0; r < tables.registers.size(); ++r) {
       result.registers.emplace_back(
           design.registers[r].name,
-          block.values[static_cast<std::size_t>(tables.registers[r].out) * lanes +
-                       lane]);
+          block.values.get(tables.registers[r].out, lane));
     }
   }
   return results;

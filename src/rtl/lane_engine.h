@@ -19,13 +19,17 @@ namespace ctrtl::rtl {
 /// instances of a batch share one immutable `transfer::StaticSchedule` and
 /// one action plan (`transfer::LanePlan`, lowered exactly once by
 /// `CompiledDesign::compile`), while the per-instance mutable state —
-/// signal values, sink contribution arrays with non-DISC/ILLEGAL counters,
-/// module pipelines, register latches, conflict records, kernel counters —
-/// is laid out structure-of-arrays with one *lane* per instance. Every
-/// fire/release/resolve/latch action then runs as a tight inner loop over
-/// contiguous lanes (branch-light by design: the DISC/ILLEGAL resolution is
-/// counter arithmetic, not a scan), instead of re-walking the schedule once
-/// per instance.
+/// signal values, sink contributions with non-DISC/ILLEGAL counters and a
+/// payload sum, module pipelines, register latches, conflict records,
+/// kernel counters — is laid out structure-of-arrays with one *lane* per
+/// instance. Every value lives in two planes, a one-byte tag plane and an
+/// `int64` payload plane (0 for DISC and ILLEGAL), rather than as a padded
+/// `RtValue`. Every fire/release/resolve/latch action then runs as a tight
+/// inner loop over contiguous lanes, instead of re-walking the schedule once
+/// per instance: resolution is counter arithmetic (a lone valid driver's
+/// payload is the slot's payload sum), and ADD/SUB/MUL/COPY modules step as
+/// per-block kernels over a ring of pipeline rows. Only the op-port kinds
+/// (ALU, MACC, CORDIC) keep one `transfer::ModuleSim` per lane.
 ///
 /// The engine object only refers to the compiled design's plan, so
 /// constructing one costs no lowering, and one instance can be shared

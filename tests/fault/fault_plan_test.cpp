@@ -64,15 +64,21 @@ TEST(FaultPlan, MalformedLinesErrorAndAreSkipped) {
       "frobnicate R1\n"                  // 8: unknown keyword
       "stuck-disc R1 @banana\n"          // 9: step is not a number
       "stuck-illegal R9 extra tokens\n"  // 10: trailing garbage
-      "force-bus B1 = 2 @5:ra   # ok\n"  // 11: valid (comment stripped)
-      "stuck-disc R2   # also ok\n",     // 12: valid
+      "force-bus B1 = 5 @4294967298:ra\n"  // 11: step wraps past UINT_MAX
+      "drop B1 @-1\n"                      // 12: negative step
+      "drop B1 @+3\n"                      // 13: signed step
+      "force-bus B1 = 2 @5:ra   # ok\n"  // 14: valid (comment stripped)
+      "stuck-disc R2   # also ok\n",     // 15: valid
       diags);
   EXPECT_TRUE(diags.has_errors());
-  ASSERT_EQ(diags.error_count(), 10u) << diags.to_text();
-  ASSERT_EQ(diags.entries().size(), 10u) << "parse emits only errors";
+  ASSERT_EQ(diags.error_count(), 13u) << diags.to_text();
+  ASSERT_EQ(diags.entries().size(), 13u) << "parse emits only errors";
   for (std::size_t i = 0; i < diags.entries().size(); ++i) {
     EXPECT_EQ(diags.entries()[i].location.line, i + 1) << diags.to_text();
   }
+  EXPECT_EQ(diags.entries()[10].message, "bad control step '4294967298'");
+  EXPECT_EQ(diags.entries()[11].message, "bad control step '-1'");
+  EXPECT_EQ(diags.entries()[12].message, "bad control step '+3'");
   ASSERT_EQ(plan.faults.size(), 2u);
   EXPECT_EQ(plan.faults[0],
             (FaultSpec{FaultKind::kForceBus, "B1", 5, rtl::Phase::kRa, 2}));

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/diagnostics.h"
 #include "rtl/batch_runner.h"
 #include "rtl/lane_engine.h"
+#include "rtl/modules.h"
 #include "transfer/build.h"
 #include "transfer/schedule.h"
 #include "verify/equivalence.h"
@@ -182,6 +186,109 @@ TEST(LaneEngine, PerInstanceInputsFlowThroughLanes) {
     EXPECT_EQ(batch.instances[i].registers[0].second,
               rtl::RtValue::of(1 + static_cast<std::int64_t>(i) * 10))
         << "instance " << i;
+  }
+}
+
+/// Input X feeds module operands (MUL, MACC, CORDIC) and, at step 2, drives
+/// bus B3 beside R2. The design also holds an ALU (op port), a latency-0
+/// COPY, a latency-2 MUL and an ADD fed from lane-varying registers, so a
+/// block whose lanes leave X unset (DISC) in some lanes puts different tags
+/// through every module kind and both conflict paths at once.
+Design divergent_input_design() {
+  Design d;
+  d.name = "divergent_input";
+  d.cs_max = 7;
+  d.registers = {{"R1", 5}, {"R2", 7}, {"R3", {}}, {"R4", {}},
+                 {"R5", {}}, {"R6", {}}, {"R7", {}}};
+  d.buses = {{"B1"}, {"B2"}, {"B3"}, {"B4"}};
+  d.modules = {{"MUL", ModuleKind::kMul, 2, 0},
+               {"ALU", ModuleKind::kAlu, 1},
+               {"COPY", ModuleKind::kCopy, 0},
+               {"MACC", ModuleKind::kMacc, 1, 0},
+               {"CORDIC", ModuleKind::kCordic, 1, 16, 12},
+               {"ADD", ModuleKind::kAdd, 1}};
+  d.inputs = {{"X"}};
+  const transfer::Endpoint x = transfer::Endpoint::input("X");
+  // R3 = R1 * X: an unset X is a lone operand, ILLEGAL by the discipline.
+  RegisterTransfer mul =
+      RegisterTransfer::full("R1", "B1", "R2", "B2", 1, "MUL", 3, "B1", "R3");
+  mul.operand_b->source = x;
+  // X and R2 both drive B3 at (2, ra): a conflict only where X is set.
+  RegisterTransfer alu = RegisterTransfer::full(
+      "R1", "B3", "R2", "B4", 2, "ALU", 3, "B2", "R4", rtl::alu_ops::kAdd);
+  alu.operand_a->source = x;
+  RegisterTransfer copy =
+      RegisterTransfer::full("R2", "B3", "R2", "B3", 2, "COPY", 2, "B1", "R5");
+  copy.operand_b.reset();
+  // R6 = MACC(R1 * X).
+  RegisterTransfer macc = RegisterTransfer::full(
+      "R1", "B1", "R2", "B2", 4, "MACC", 5, "B2", "R6", rtl::MaccModule::kOpMac);
+  macc.operand_b->source = x;
+  // R7 = sin(X); an unset X leaves the op without its operand.
+  RegisterTransfer cordic = RegisterTransfer::full(
+      "R2", "B3", "R2", "B3", 5, "CORDIC", 6, "B1", "R7",
+      rtl::CordicModule::kOpSin);
+  cordic.operand_a->source = x;
+  cordic.operand_b.reset();
+  // R1 = R3 + R6: VALUE + VALUE where X is set, ILLEGAL + ILLEGAL elsewhere.
+  const RegisterTransfer add =
+      RegisterTransfer::full("R3", "B2", "R6", "B3", 6, "ADD", 7, "B2", "R1");
+  d.transfers = {mul, alu, copy, macc, cordic, add};
+  return d;
+}
+
+TEST(LaneEngine, DivergentTagsInOneBlockMatchEventKernel) {
+  const Design design = divergent_input_design();
+  common::DiagnosticBag diags;
+  ASSERT_TRUE(transfer::validate(design, diags)) << diags.to_text();
+
+  // X is unset in every third instance, so blocks of 3, 16, 17 and 64 lanes
+  // each mix both kinds of lane, and width 1 alternates them across blocks.
+  const auto x_is_set = [](std::size_t instance) { return instance % 3 != 1; };
+  const rtl::BatchInputProvider provider = [&](std::size_t instance) {
+    std::vector<std::pair<std::string, rtl::RtValue>> inputs;
+    if (x_is_set(instance)) {
+      inputs.emplace_back(
+          "X", rtl::RtValue::of(static_cast<std::int64_t>(instance) * 37 - 900));
+    }
+    return inputs;
+  };
+  constexpr std::size_t kInstances = 70;
+  std::vector<rtl::InstanceResult> reference;
+  for (std::size_t i = 0; i < kInstances; ++i) {
+    auto model =
+        transfer::build_model(design, rtl::TransferMode::kProcessPerTransfer);
+    for (const auto& [name, value] : provider(i)) {
+      model->set_input(name, value);
+    }
+    reference.push_back(rtl::run_instance(*model));
+  }
+  // The lanes really diverge: only lanes with X set see the B3 conflict,
+  // only lanes without it see their MUL output turn ILLEGAL.
+  const auto conflicts_on = [](const rtl::InstanceResult& result,
+                               const std::string& signal, unsigned step) {
+    return std::ranges::count_if(result.conflicts, [&](const rtl::Conflict& c) {
+      return c.signal == signal && c.step == step;
+    });
+  };
+  for (std::size_t i = 0; i < kInstances; ++i) {
+    EXPECT_EQ(conflicts_on(reference[i], "B3", 2) > 0, x_is_set(i)) << i;
+    EXPECT_EQ(conflicts_on(reference[i], "R3.in", 3) > 0, !x_is_set(i)) << i;
+  }
+
+  const auto compiled = transfer::CompiledDesign::compile(design);
+  for (const std::size_t width : {1u, 3u, 16u, 17u, 64u}) {
+    rtl::BatchRunner lanes(compiled,
+                           {.workers = 2,
+                            .engine = rtl::BatchEngineKind::kCompiledLanes,
+                            .lane_block = width},
+                           provider);
+    const rtl::BatchRunResult batch = lanes.run(kInstances);
+    ASSERT_EQ(batch.instances.size(), kInstances);
+    for (std::size_t i = 0; i < kInstances; ++i) {
+      EXPECT_EQ(batch.instances[i], reference[i])
+          << "block width " << width << ", instance " << i;
+    }
   }
 }
 

@@ -17,6 +17,7 @@
 // Exit status: 0 clean run, 1 usage/front-end errors, 2 runtime errors,
 // 3 conflicts observed, 4 delta-cycle watchdog tripped.
 
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -62,6 +63,15 @@ void usage() {
                "simulating\n");
 }
 
+/// Parses all of `text` as a decimal number that fits `T`: no leading space
+/// or '+', nothing trailing, and no '-' for an unsigned `T`.
+template <typename T>
+bool parse_decimal(const std::string& text, T& out) {
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -104,8 +114,7 @@ int main(int argc, char** argv) {
                (arg == "--batch" && i + 1 < argc)) {
       const std::string count =
           arg == "--batch" ? argv[++i] : arg.substr(std::strlen("--batch="));
-      batch = std::strtoull(count.c_str(), nullptr, 10);
-      if (batch == 0) {
+      if (!parse_decimal(count, batch) || batch == 0) {
         std::fprintf(stderr, "--batch expects a positive instance count, "
                      "got '%s'\n", count.c_str());
         return 1;
@@ -114,9 +123,8 @@ int main(int argc, char** argv) {
                (arg == "--workers" && i + 1 < argc)) {
       const std::string count =
           arg == "--workers" ? argv[++i] : arg.substr(std::strlen("--workers="));
-      workers = std::strtoull(count.c_str(), nullptr, 10);
       workers_set = true;
-      if (workers == 0) {
+      if (!parse_decimal(count, workers) || workers == 0) {
         std::fprintf(stderr, "--workers expects a positive thread count, "
                      "got '%s'\n", count.c_str());
         return 1;
@@ -127,8 +135,7 @@ int main(int argc, char** argv) {
           arg == "--max-delta-cycles"
               ? argv[++i]
               : arg.substr(std::strlen("--max-delta-cycles="));
-      max_delta_cycles = std::strtoull(count.c_str(), nullptr, 10);
-      if (max_delta_cycles == 0) {
+      if (!parse_decimal(count, max_delta_cycles) || max_delta_cycles == 0) {
         std::fprintf(stderr, "--max-delta-cycles expects a positive limit, "
                      "got '%s'\n", count.c_str());
         return 1;
@@ -145,13 +152,14 @@ int main(int argc, char** argv) {
     } else if (arg == "--set" && i + 1 < argc) {
       const std::string assignment = argv[++i];
       const std::size_t eq = assignment.find('=');
-      if (eq == std::string::npos) {
-        std::fprintf(stderr, "--set expects input=value, got '%s'\n",
+      std::int64_t value = 0;
+      if (eq == std::string::npos ||
+          !parse_decimal(assignment.substr(eq + 1), value)) {
+        std::fprintf(stderr, "--set expects input=<decimal int64>, got '%s'\n",
                      assignment.c_str());
         return 1;
       }
-      inputs[assignment.substr(0, eq)] =
-          std::strtoll(assignment.c_str() + eq + 1, nullptr, 10);
+      inputs[assignment.substr(0, eq)] = value;
     } else if (arg == "--help" || arg == "-h") {
       usage();
       return 0;
@@ -202,6 +210,13 @@ int main(int argc, char** argv) {
   if (diags.has_errors() || !ctrtl::transfer::validate(design, diags)) {
     std::fprintf(stderr, "%s", diags.to_text().c_str());
     return 1;
+  }
+  for (const auto& [name, value] : inputs) {
+    if (!design.has_input(name)) {
+      std::fprintf(stderr, "--set: design '%s' has no input named '%s'\n",
+                   design.name.c_str(), name.c_str());
+      return 1;
+    }
   }
   std::printf("design '%s': %u control steps, %zu registers, %zu buses, "
               "%zu modules, %zu transfers\n",
