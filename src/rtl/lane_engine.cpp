@@ -4,6 +4,7 @@
 #include <chrono>
 #include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "rtl/modules.h"
 #include "transfer/module_sim.h"
@@ -91,10 +92,6 @@ struct LaneEngine::LaneBlock {
 
   Planes values;                             ///< signals × lanes
   Planes contributions;                      ///< total drivers × lanes
-  Planes idle;                               ///< one all-DISC row (releases)
-  std::vector<std::uint32_t> non_disc;       ///< sink slots × lanes
-  std::vector<std::uint32_t> illegal;        ///< sink slots × lanes
-  std::vector<std::uint64_t> value_sum;      ///< sink slots × lanes, wrapping
   std::vector<ModuleLanes> module_lanes;     ///< one per module
   Planes ring;                               ///< kernel-module latencies × lanes
   std::vector<std::uint8_t> poisoned;        ///< modules × lanes
@@ -112,60 +109,74 @@ struct LaneEngine::LaneBlock {
   std::vector<std::uint64_t> lane_transactions;
   std::vector<std::vector<Conflict>> conflicts;
 
-  /// CompiledEngine::write_contribution over the block: drives one
-  /// contribution row with the `source` row and keeps the slot's
-  /// non-DISC/ILLEGAL counters and VALUE payload sum.
-  void drive(std::uint32_t slot_index, const SinkSlot& slot,
-             std::uint32_t driver, Planes& source, std::size_t source_row) {
-    const std::size_t row = slot.contrib_base + driver;
-    Tag* tag = contributions.tag_row(row);
-    std::int64_t* payload = contributions.payload_row(row);
-    const Tag* next_tag = source.tag_row(source_row);
-    const std::int64_t* next_payload = source.payload_row(source_row);
-    std::uint32_t* present = non_disc.data() + slot_index * lanes;
-    std::uint32_t* bad = illegal.data() + slot_index * lanes;
-    std::uint64_t* sum = value_sum.data() + slot_index * lanes;
-    for (std::size_t lane = 0, n = lanes; lane < n; ++lane) {
-      present[lane] += static_cast<std::uint32_t>(next_tag[lane] != kDisc) -
-                       static_cast<std::uint32_t>(tag[lane] != kDisc);
-      bad[lane] += static_cast<std::uint32_t>(next_tag[lane] == kIllegal) -
-                   static_cast<std::uint32_t>(tag[lane] == kIllegal);
-      sum[lane] += static_cast<std::uint64_t>(next_payload[lane]) -
-                   static_cast<std::uint64_t>(payload[lane]);
-      tag[lane] = next_tag[lane];
-      payload[lane] = next_payload[lane];
-    }
+  /// Drives contribution row `row` with the values of signal `source`.
+  void fire(std::size_t row, std::uint32_t source) {
+    std::copy_n(values.tag_row(source), lanes, contributions.tag_row(row));
+    std::copy_n(values.payload_row(source), lanes,
+                contributions.payload_row(row));
   }
 
-  /// CompiledEngine::resolve_slot over the block: `resolve_rt` from the
-  /// counters, where a lone non-DISC, non-ILLEGAL driver's payload is the
-  /// slot's payload sum. Marks the lanes whose signal turned ILLEGAL.
-  /// Returns whether any did.
-  bool resolve(std::uint32_t slot_index, const SinkSlot& slot) {
+  /// Re-resolves a sink from the drivers `first .. first + count - 1` of
+  /// its slot, the ones that fired in the previous cycle and so the only
+  /// active ones: DISC for none, a copy of the contribution for one, and
+  /// `resolve_rt`'s fold for more (ILLEGAL when any contribution is ILLEGAL
+  /// or more than one is not DISC). Counts an event in every lane whose
+  /// value changed and marks the lanes whose signal turned ILLEGAL. Returns
+  /// whether any did.
+  bool resolve(const SinkSlot& slot, std::uint32_t first, std::uint32_t count) {
     Tag* tag = values.tag_row(slot.signal);
     std::int64_t* payload = values.payload_row(slot.signal);
-    const std::uint32_t* present = non_disc.data() + slot_index * lanes;
-    const std::uint32_t* bad = illegal.data() + slot_index * lanes;
-    const std::uint64_t* sum = value_sum.data() + slot_index * lanes;
+    const std::size_t row = slot.contrib_base + first;
+    if (count == 0) {
+      return assign_sink(tag, payload, [](std::size_t) {
+        return std::pair{kDisc, std::int64_t{0}};
+      });
+    }
+    if (count == 1) {
+      const Tag* next_tag = contributions.tag_row(row);
+      const std::int64_t* next_payload = contributions.payload_row(row);
+      return assign_sink(tag, payload, [next_tag, next_payload](std::size_t lane) {
+        return std::pair{next_tag[lane], next_payload[lane]};
+      });
+    }
+    return assign_sink(tag, payload, [this, row, count](std::size_t lane) {
+      unsigned present = 0;
+      bool bad = false;
+      std::int64_t value = 0;
+      for (std::size_t cell = row * lanes + lane, end = cell + count * lanes;
+           cell < end; cell += lanes) {
+        const Tag contribution = contributions.tags[cell];
+        present += contribution != kDisc ? 1 : 0;
+        bad = bad || contribution == kIllegal;
+        if (contribution == kValue) {
+          value = contributions.payloads[cell];
+        }
+      }
+      if (present == 0) {
+        return std::pair{kDisc, std::int64_t{0}};
+      }
+      if (bad || present > 1) {
+        return std::pair{kIllegal, std::int64_t{0}};
+      }
+      return std::pair{kValue, value};
+    });
+  }
+
+  /// Writes `next(lane)` (a tag and payload) into a sink's value row, with
+  /// the event count and turned-ILLEGAL mask `resolve` promises.
+  template <typename Next>
+  bool assign_sink(Tag* tag, std::int64_t* payload, Next next) {
     std::uint64_t* events = lane_events.data();
     std::uint8_t* turned_at = turned_illegal.data();
     bool any_illegal = false;
     for (std::size_t lane = 0, n = lanes; lane < n; ++lane) {
-      Tag next = kValue;
-      std::int64_t next_payload = static_cast<std::int64_t>(sum[lane]);
-      if (bad[lane] > 0 || present[lane] > 1) {
-        next = kIllegal;
-        next_payload = 0;
-      } else if (present[lane] == 0) {
-        next = kDisc;
-        next_payload = 0;
-      }
+      const auto [next_tag, next_payload] = next(lane);
       bool turned = false;
-      if (next != tag[lane] || next_payload != payload[lane]) {
-        tag[lane] = next;
+      if (next_tag != tag[lane] || next_payload != payload[lane]) {
+        tag[lane] = next_tag;
         payload[lane] = next_payload;
         ++events[lane];
-        turned = next == kIllegal;
+        turned = next_tag == kIllegal;
       }
       turned_at[lane] = turned ? 1 : 0;
       any_illegal = any_illegal || turned;
@@ -179,8 +190,10 @@ struct LaneEngine::LaneBlock {
   /// not all operands present, gives ILLEGAL; none present gives DISC. A
   /// pipelined module is a ring of `latency` rows whose head (the oldest
   /// row) is the same for every lane; an ILLEGAL entering it poisons the
-  /// lane's pipeline for good. A unary kind reads its input as both
-  /// operands, which leaves the discipline unchanged.
+  /// lane's pipeline for good. The head only advances at the steps the plan
+  /// lists; between them every row of a lane holds the same idle value, so
+  /// where the head stands does not matter. A unary kind reads its input as
+  /// both operands, which leaves the discipline unchanged.
   template <unsigned kArity, typename Apply>
   void step_kernel(std::size_t m, const transfer::LanePlan::Module& module,
                    unsigned latency, Apply apply) {
@@ -291,7 +304,7 @@ void LaneEngine::execute_cycle(std::uint64_t ordinal, LaneBlock& block) const {
     switch (entry.kind) {
       case Update::Kind::kSink: {
         const SinkSlot& slot = tables.slots[entry.index];
-        if (block.resolve(entry.index, slot)) {
+        if (block.resolve(slot, entry.first_driver, entry.drivers)) {
           for (std::size_t lane = 0; lane < lanes; ++lane) {
             if (block.turned_illegal[lane] != 0) {
               block.conflicts[lane].push_back(
@@ -320,65 +333,56 @@ void LaneEngine::execute_cycle(std::uint64_t ordinal, LaneBlock& block) const {
     return;
   }
   for (const transfer::LanePlan::Fire& fire : tables.fires_at(ordinal)) {
-    block.drive(fire.slot, tables.slots[fire.slot], fire.driver, block.values,
-                fire.source);
+    block.fire(tables.slots[fire.slot].contrib_base + fire.driver, fire.source);
   }
-  if (plan.eval_modules) {
-    const transfer::Design& design = compiled_->design;
-    for (std::size_t m = 0; m < tables.modules.size(); ++m) {
-      const transfer::ModuleDecl& decl = design.modules[m];
-      const transfer::LanePlan::Module& module = tables.modules[m];
-      switch (decl.kind) {
-        case transfer::ModuleKind::kAdd:
-          block.step_kernel<2>(m, module, decl.latency,
-                               [](std::int64_t a, std::int64_t b) { return a + b; });
-          break;
-        case transfer::ModuleKind::kSub:
-          block.step_kernel<2>(m, module, decl.latency,
-                               [](std::int64_t a, std::int64_t b) { return a - b; });
-          break;
-        case transfer::ModuleKind::kMul: {
-          const unsigned frac_bits = decl.frac_bits;
-          block.step_kernel<2>(m, module, decl.latency,
-                               [frac_bits](std::int64_t a, std::int64_t b) {
-                                 return fixed_mul(a, b, frac_bits);
-                               });
-          break;
-        }
-        case transfer::ModuleKind::kCopy:
-          block.step_kernel<1>(m, module, decl.latency,
-                               [](std::int64_t a, std::int64_t) { return a; });
-          break;
-        case transfer::ModuleKind::kAlu:
-        case transfer::ModuleKind::kMacc:
-        case transfer::ModuleKind::kCordic:
-          block.step_sims(m, module);
-          break;
+  const transfer::Design& design = compiled_->design;
+  for (const std::uint32_t m : tables.module_steps_at(ordinal)) {
+    const transfer::ModuleDecl& decl = design.modules[m];
+    const transfer::LanePlan::Module& module = tables.modules[m];
+    switch (decl.kind) {
+      case transfer::ModuleKind::kAdd:
+        block.step_kernel<2>(m, module, decl.latency,
+                             [](std::int64_t a, std::int64_t b) { return a + b; });
+        break;
+      case transfer::ModuleKind::kSub:
+        block.step_kernel<2>(m, module, decl.latency,
+                             [](std::int64_t a, std::int64_t b) { return a - b; });
+        break;
+      case transfer::ModuleKind::kMul: {
+        const unsigned frac_bits = decl.frac_bits;
+        block.step_kernel<2>(m, module, decl.latency,
+                             [frac_bits](std::int64_t a, std::int64_t b) {
+                               return fixed_mul(a, b, frac_bits);
+                             });
+        break;
       }
+      case transfer::ModuleKind::kCopy:
+        block.step_kernel<1>(m, module, decl.latency,
+                             [](std::int64_t a, std::int64_t) { return a; });
+        break;
+      case transfer::ModuleKind::kAlu:
+      case transfer::ModuleKind::kMacc:
+      case transfer::ModuleKind::kCordic:
+        block.step_sims(m, module);
+        break;
     }
   }
-  if (plan.latch_registers) {
-    for (std::size_t r = 0; r < tables.registers.size(); ++r) {
-      const std::uint32_t in = tables.registers[r].in;
-      const Tag* tag = block.values.tag_row(in);
-      const std::int64_t* payload = block.values.payload_row(in);
-      Tag* pending_tag = block.reg_pending.tag_row(r);
-      std::int64_t* pending = block.reg_pending.payload_row(r);
-      std::uint8_t* dirty = block.reg_dirty.data() + r * lanes;
-      std::uint64_t* transactions = block.lane_transactions.data();
-      for (std::size_t lane = 0; lane < lanes; ++lane) {
-        if (tag[lane] != kDisc) {
-          pending_tag[lane] = tag[lane];
-          pending[lane] = payload[lane];
-          dirty[lane] = 1;
-          ++transactions[lane];
-        }
+  for (const std::uint32_t r : tables.latches_at(ordinal)) {
+    const std::uint32_t in = tables.registers[r].in;
+    const Tag* tag = block.values.tag_row(in);
+    const std::int64_t* payload = block.values.payload_row(in);
+    Tag* pending_tag = block.reg_pending.tag_row(r);
+    std::int64_t* pending = block.reg_pending.payload_row(r);
+    std::uint8_t* dirty = block.reg_dirty.data() + std::size_t{r} * lanes;
+    std::uint64_t* transactions = block.lane_transactions.data();
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      if (tag[lane] != kDisc) {
+        pending_tag[lane] = tag[lane];
+        pending[lane] = payload[lane];
+        dirty[lane] = 1;
+        ++transactions[lane];
       }
     }
-  }
-  for (const transfer::LanePlan::Release& release : tables.releases_at(ordinal)) {
-    block.drive(release.slot, tables.slots[release.slot], release.driver,
-                block.idle, 0);
   }
 }
 
@@ -405,10 +409,6 @@ std::vector<InstanceResult> LaneEngine::run_block(
     }
   }
   block.contributions.assign(tables.total_drivers, lanes);
-  block.idle.assign(1, lanes);
-  block.non_disc.assign(tables.slots.size() * lanes, 0);
-  block.illegal.assign(tables.slots.size() * lanes, 0);
-  block.value_sum.assign(tables.slots.size() * lanes, 0);
   block.module_pending.assign(tables.modules.size(), lanes);
   block.reg_pending.assign(tables.registers.size(), lanes);
   block.reg_dirty.assign(tables.registers.size() * lanes, 0);
@@ -584,7 +584,9 @@ LaneEngine::TableStats LaneEngine::table_stats() const {
   stats.resolved_sinks = tables.slots.size();
   stats.drivers = tables.total_drivers;
   stats.fire_actions = tables.fires.size();
-  stats.release_actions = tables.releases.size();
+  // Every fire is released once, in the next cycle (cr fires are
+  // rejected); the plan folds releases into the lane-uniform counters.
+  stats.release_actions = tables.fires.size();
   stats.update_entries = tables.updates.size();
   stats.modules = tables.modules.size();
   stats.registers = tables.registers.size();

@@ -19,17 +19,19 @@ namespace ctrtl::rtl {
 /// instances of a batch share one immutable `transfer::StaticSchedule` and
 /// one action plan (`transfer::LanePlan`, lowered exactly once by
 /// `CompiledDesign::compile`), while the per-instance mutable state —
-/// signal values, sink contributions with non-DISC/ILLEGAL counters and a
-/// payload sum, module pipelines, register latches, conflict records,
-/// kernel counters — is laid out structure-of-arrays with one *lane* per
-/// instance. Every value lives in two planes, a one-byte tag plane and an
-/// `int64` payload plane (0 for DISC and ILLEGAL), rather than as a padded
-/// `RtValue`. Every fire/release/resolve/latch action then runs as a tight
-/// inner loop over contiguous lanes, instead of re-walking the schedule once
-/// per instance: resolution is counter arithmetic (a lone valid driver's
-/// payload is the slot's payload sum), and ADD/SUB/MUL/COPY modules step as
-/// per-block kernels over a ring of pipeline rows. Only the op-port kinds
-/// (ALU, MACC, CORDIC) keep one `transfer::ModuleSim` per lane.
+/// signal values, sink contributions, module pipelines, register latches,
+/// conflict records, kernel counters — is laid out structure-of-arrays with
+/// one *lane* per instance. Every value lives in two planes, a one-byte tag
+/// plane and an `int64` payload plane (0 for DISC and ILLEGAL), rather than
+/// as a padded `RtValue`. Every fire/resolve/step/latch action then runs as
+/// a tight inner loop over contiguous lanes, instead of re-walking the
+/// schedule once per instance. The plan holds only lane-varying work: a
+/// sink resolves from the drivers it names (the ones that fired in the
+/// previous cycle), so releases never run; only the registers driven at
+/// `wb` latch, and only the modules the plan lists step. ADD/SUB/MUL/COPY
+/// modules step as per-block kernels over a ring of pipeline rows; only the
+/// op-port kinds (ALU, MACC, CORDIC) keep one `transfer::ModuleSim` per
+/// lane.
 ///
 /// The engine object only refers to the compiled design's plan, so
 /// constructing one costs no lowering, and one instance can be shared
@@ -81,7 +83,7 @@ class LaneEngine {
     std::size_t resolved_sinks = 0;  ///< distinct transfer sink signals
     std::size_t drivers = 0;         ///< total sink contributions per lane
     std::size_t fire_actions = 0;
-    std::size_t release_actions = 0;
+    std::size_t release_actions = 0;  ///< one per fire, counted, never run
     std::size_t update_entries = 0;
     std::size_t modules = 0;
     std::size_t registers = 0;

@@ -105,14 +105,42 @@ LanePlan lower_lane_plan(const Design& design, const StaticSchedule& schedule) {
     throw std::logic_error("lower_lane_plan: corrupt endpoint kind");
   };
 
+  // Which module owns each input/op port signal, and which register each
+  // `.in` signal: a fire into one of these makes the owner step or latch.
+  std::vector<std::uint32_t> port_owner(plan.signal_names.size(),
+                                        LanePlan::kNoSignal);
+  std::vector<std::uint32_t> latch_owner(plan.signal_names.size(),
+                                         LanePlan::kNoSignal);
+  for (std::uint32_t m = 0; m < plan.modules.size(); ++m) {
+    for (const std::uint32_t input : plan.modules[m].inputs) {
+      port_owner[input] = m;
+    }
+    if (plan.modules[m].op != LanePlan::kNoSignal) {
+      port_owner[plan.modules[m].op] = m;
+    }
+  }
+  for (std::uint32_t r = 0; r < plan.registers.size(); ++r) {
+    latch_owner[plan.registers[r].in] = r;
+  }
+
   // --- per-cycle lists, built in ordinal order straight into the flat
-  // arrays. Cycle d fires level d-1 of the schedule and releases what cycle
-  // d-1 fired; its update list is the event kernel's pending order after
-  // cycle d-1, statically derived, with the always-lane-uniform entries
-  // folded into the counters instead of materialized:
+  // arrays. Cycle d fires level d-1 of the schedule. Its update list is the
+  // event kernel's pending order after cycle d-1, statically derived, less
+  // the entries that cannot change a lane's state:
+  //   - the outputs of the modules stepped at a `cm` cycle d-1;
+  //   - the sinks fired at d-1, each with the range of drivers fired into
+  //     it (drivers fired earlier were released by now);
+  //   - the register outputs latched at a `cr` cycle d-1;
+  //   - the sinks whose drivers fired at d-2 and were released at d-1 and
+  //     that d-1 did not fire again: they resolve to DISC.
+  // Always-lane-uniform work is folded into the counters instead of
+  // materialized:
   //   - CS/PH assignments are one update + one event each for every lane
   //     (CS steps 0 -> 1 -> ... -> cs_max, PH walks the six-phase wheel from
   //     its cr initial — every assignment changes the value);
+  //   - releases, and every module's evaluation and output update at every
+  //     `cm`, stepped or not (an unstepped module's output already holds
+  //     its idle value, so the update changes nothing);
   //   - externally set inputs are per-lane *counts* added at cycle 1 (the
   //     value itself is published at set-input time, before the stats
   //     window, exactly like RtModel::set_input in compiled mode).
@@ -123,24 +151,27 @@ LanePlan lower_lane_plan(const Design& design, const StaticSchedule& schedule) {
   plan.cycles.resize(plan.wheel_cycles + 2);  // [0] unused; last = trailing
   std::unordered_map<std::uint32_t, std::uint32_t> slot_of;
   std::vector<std::uint64_t> sink_stamp;
+  std::vector<std::size_t> sink_entry;
+  // A module steps while its last drive (step 0 before any) lies at most
+  // `latency + 1` steps back.
+  std::vector<unsigned> last_driven(plan.modules.size(), 0);
+  std::vector<std::uint64_t> latch_stamp(plan.registers.size(), 0);
+  const auto modules = static_cast<std::uint32_t>(plan.modules.size());
   for (std::uint64_t d = 1; d <= plan.wheel_cycles + 1; ++d) {
     LanePlan::Cycle& cycle = plan.cycles[d];
     // Opening this cycle's slices also closes the previous cycle's.
     cycle.fires = static_cast<std::uint32_t>(plan.fires.size());
-    cycle.releases = static_cast<std::uint32_t>(plan.releases.size());
     cycle.updates = static_cast<std::uint32_t>(plan.updates.size());
+    cycle.module_steps = static_cast<std::uint32_t>(plan.module_steps.size());
+    cycle.latches = static_cast<std::uint32_t>(plan.latches.size());
     const auto [step, phase] = rtl::Controller::locate(d);
     cycle.step = step;
     cycle.phase = phase;
     const bool in_wheel = d <= plan.wheel_cycles;
-    cycle.eval_modules =
-        in_wheel && phase == rtl::Phase::kCm && !plan.modules.empty();
-    cycle.latch_registers =
-        in_wheel && phase == rtl::kPhaseHigh && !plan.registers.empty();
 
     // Update list.
     const auto add = [&plan](LanePlan::Update::Kind kind, std::uint32_t index) {
-      plan.updates.push_back(LanePlan::Update{kind, index});
+      plan.updates.push_back(LanePlan::Update{kind, index, 0, 0});
     };
     if (d == 1) {
       if (cs_max > 0) {
@@ -153,27 +184,31 @@ LanePlan lower_lane_plan(const Design& design, const StaticSchedule& schedule) {
     } else {
       const LanePlan::Cycle& prev = plan.cycles[d - 1];
       sink_stamp.resize(plan.slots.size(), 0);
-      const auto add_sink = [&](std::uint32_t slot) {
-        if (sink_stamp[slot] != d) {
-          sink_stamp[slot] = d;
-          add(LanePlan::Update::Kind::kSink, slot);
-        }
-      };
-      if (prev.eval_modules) {
-        for (std::uint32_t m = 0; m < plan.modules.size(); ++m) {
-          add(LanePlan::Update::Kind::kModuleOut, m);
-        }
+      sink_entry.resize(plan.slots.size(), 0);
+      for (const std::uint32_t m : plan.module_steps_at(d - 1)) {
+        add(LanePlan::Update::Kind::kModuleOut, m);
+      }
+      if (prev.phase == rtl::Phase::kCm) {
+        cycle.uniform_updates += modules;
       }
       for (const LanePlan::Fire& fire : plan.fires_at(d - 1)) {
-        add_sink(fire.slot);
-      }
-      if (prev.latch_registers) {
-        for (std::uint32_t r = 0; r < plan.registers.size(); ++r) {
-          add(LanePlan::Update::Kind::kRegisterOut, r);
+        if (sink_stamp[fire.slot] == d) {
+          ++plan.updates[sink_entry[fire.slot]].drivers;
+          continue;
         }
+        sink_stamp[fire.slot] = d;
+        sink_entry[fire.slot] = plan.updates.size();
+        plan.updates.push_back(LanePlan::Update{LanePlan::Update::Kind::kSink,
+                                                fire.slot, fire.driver, 1});
       }
-      for (const LanePlan::Release& release : plan.releases_at(d - 1)) {
-        add_sink(release.slot);
+      for (const std::uint32_t r : plan.latches_at(d - 1)) {
+        add(LanePlan::Update::Kind::kRegisterOut, r);
+      }
+      for (const LanePlan::Fire& fire : plan.fires_at(d - 2)) {
+        if (sink_stamp[fire.slot] != d) {
+          sink_stamp[fire.slot] = d;
+          add(LanePlan::Update::Kind::kSink, fire.slot);
+        }
       }
       if (prev.phase == rtl::kPhaseHigh) {
         if (prev.step < cs_max) {
@@ -186,56 +221,73 @@ LanePlan lower_lane_plan(const Design& design, const StaticSchedule& schedule) {
       }
     }
     for (std::size_t u = cycle.updates; u < plan.updates.size(); ++u) {
-      // Sink and module-out updates are unconditional for every lane;
-      // register-out updates only count when the lane's latch is dirty.
-      if (plan.updates[u].kind != LanePlan::Update::Kind::kRegisterOut) {
+      // Sink updates are unconditional for every lane; register-out updates
+      // only count when the lane's latch is dirty.
+      if (plan.updates[u].kind == LanePlan::Update::Kind::kSink) {
         ++cycle.uniform_updates;
       }
+    }
+    if (!in_wheel) {
+      continue;
     }
 
     // Fires: level d-1 of the schedule, in stream order, each with its own
     // driver row on its sink's slot.
-    if (in_wheel) {
-      for (const TransInstance& instance : schedule.levels[d - 1].fires) {
-        const std::uint32_t sink = signal_of(instance.sink);
-        const auto [it, inserted] = slot_of.try_emplace(
-            sink, static_cast<std::uint32_t>(plan.slots.size()));
-        if (inserted) {
-          plan.slots.push_back(LanePlan::SinkSlot{sink, 0, 0});
-        }
-        const std::uint32_t driver = plan.slots[it->second].drivers++;
-        plan.fires.push_back(
-            LanePlan::Fire{it->second, driver, signal_of(instance.source)});
+    for (const TransInstance& instance : schedule.levels[d - 1].fires) {
+      const std::uint32_t sink = signal_of(instance.sink);
+      const auto [it, inserted] = slot_of.try_emplace(
+          sink, static_cast<std::uint32_t>(plan.slots.size()));
+      if (inserted) {
+        plan.slots.push_back(LanePlan::SinkSlot{sink, 0, 0});
       }
+      const std::uint32_t driver = plan.slots[it->second].drivers++;
+      plan.fires.push_back(
+          LanePlan::Fire{it->second, driver, signal_of(instance.source)});
     }
 
-    // Releases: every fire of the previous cycle drives DISC now.
-    if (d > 1) {
+    // Module steps and latches, from what the previous cycle drove: a port
+    // holds a non-DISC value only in the cycle after a fire into it.
+    if (phase == rtl::Phase::kCm) {
       for (const LanePlan::Fire& fire : plan.fires_at(d - 1)) {
-        plan.releases.push_back(LanePlan::Release{fire.slot, fire.driver});
+        const std::uint32_t owner = port_owner[plan.slots[fire.slot].signal];
+        if (owner != LanePlan::kNoSignal) {
+          last_driven[owner] = step;
+        }
+      }
+      for (std::uint32_t m = 0; m < modules; ++m) {
+        if (step - last_driven[m] <=
+            std::uint64_t{design.modules[m].latency} + 1) {
+          plan.module_steps.push_back(m);
+        }
+      }
+    } else if (phase == rtl::kPhaseHigh) {
+      for (const LanePlan::Fire& fire : plan.fires_at(d - 1)) {
+        const std::uint32_t owner = latch_owner[plan.slots[fire.slot].signal];
+        if (owner != LanePlan::kNoSignal && latch_stamp[owner] != d) {
+          latch_stamp[owner] = d;
+          plan.latches.push_back(owner);
+        }
       }
     }
 
-    if (in_wheel) {
-      // Transactions every lane performs this cycle: fires, releases, one
-      // evaluation per module, plus the controller's CS/PH drives (both when
-      // cr opens the next step, nothing at the final cr, PH elsewhere).
-      // Register latches are gated on a non-DISC input and stay per-lane.
-      const std::uint32_t controller =
-          phase == rtl::kPhaseHigh ? (step < cs_max ? 2u : 0u) : 1u;
-      cycle.uniform_transactions =
-          static_cast<std::uint32_t>(plan.fires.size() - cycle.fires +
-                                     plan.releases.size() - cycle.releases) +
-          (cycle.eval_modules ? static_cast<std::uint32_t>(plan.modules.size())
-                              : 0u) +
-          controller;
-    }
+    // Transactions every lane performs this cycle: fires, releases (every
+    // fire of the previous cycle drives DISC now), one evaluation per
+    // module, plus the controller's CS/PH drives (both when cr opens the
+    // next step, nothing at the final cr, PH elsewhere). Register latches
+    // are gated on a non-DISC input and stay per-lane.
+    const std::uint32_t controller =
+        phase == rtl::kPhaseHigh ? (step < cs_max ? 2u : 0u) : 1u;
+    cycle.uniform_transactions =
+        static_cast<std::uint32_t>(plan.fires.size() - cycle.fires +
+                                   plan.fires_at(d - 1).size()) +
+        (phase == rtl::Phase::kCm ? modules : 0u) + controller;
   }
 
   // The plan lives as long as its cache entry: drop the growth slack.
   plan.fires.shrink_to_fit();
-  plan.releases.shrink_to_fit();
   plan.updates.shrink_to_fit();
+  plan.module_steps.shrink_to_fit();
+  plan.latches.shrink_to_fit();
 
   std::uint32_t contrib_base = 0;
   for (LanePlan::SinkSlot& slot : plan.slots) {

@@ -17,37 +17,45 @@ struct StaticSchedule;
 
 /// The lane engine's action tables for one design: the signal table, the
 /// sink slots with their statically assigned drivers, and for every delta
-/// cycle its fires, releases, update entries and lane-uniform counter
+/// cycle the work that can change lane state — its fires, update entries,
+/// module steps and register latches — plus its lane-uniform counter
 /// increments. Lowered once by `CompiledDesign::compile` and shared
 /// read-only by every `rtl::LaneEngine` over that design, so a cache hit in
 /// `ctrtl_serve` reuses the plan instead of rebuilding it.
 ///
-/// Stored flat: all fires, releases and update entries of the run sit in
-/// one array each, in delta-cycle order, and each `Cycle` holds the offsets
-/// of its slices (`fires_at`, `releases_at`, `updates_at`). Declarations
-/// are referred to by index: module `m` is `design.modules[m]` and register
-/// `r` is `design.registers[r]`.
+/// The six-phase schedule fixes at lowering time which drivers of a sink
+/// are active in every cycle (a TRANS drives for one delta cycle, then
+/// DISC), so the plan resolves sinks statically: a sink update names the
+/// drivers that fired into its slot in the previous cycle, and releases
+/// never run. The same fact bounds the rest of the run-time work: a
+/// register can only latch at a `cr` whose `wb` drove its `.in` port, and a
+/// module whose ports were not driven only drains its pipeline towards its
+/// idle value, so the plan lists just those latches and module steps. Work
+/// left out of the lists still counts in the lane-uniform counters.
+///
+/// Stored flat: all fires, update entries, module steps and latches of the
+/// run sit in one array each, in delta-cycle order, and each `Cycle` holds
+/// the offsets of its slices (`fires_at`, `updates_at`, `module_steps_at`,
+/// `latches_at`). Declarations are referred to by index: module `m` is
+/// `design.modules[m]` and register `r` is `design.registers[r]`.
 struct LanePlan {
   static constexpr std::uint32_t kNoSignal = 0xffffffffu;
 
   /// One transfer sink signal with its statically assigned drivers. The
-  /// per-lane contribution values and resolution counters live in the
-  /// engine's block state; this holds only the shared layout.
+  /// per-lane contribution values live in the engine's block state; this
+  /// holds only the shared layout.
   struct SinkSlot {
     std::uint32_t signal = 0;        ///< value-table index
     std::uint32_t contrib_base = 0;  ///< first row in the contribution table
     std::uint32_t drivers = 0;
   };
 
+  /// Drives contribution row `contrib_base + driver` of sink slot `slot`
+  /// with the value of signal `source`.
   struct Fire {
     std::uint32_t slot = 0;
     std::uint32_t driver = 0;
     std::uint32_t source = 0;  ///< value-table index
-  };
-
-  struct Release {
-    std::uint32_t slot = 0;
-    std::uint32_t driver = 0;
   };
 
   struct Update {
@@ -58,27 +66,34 @@ struct LanePlan {
     };
     Kind kind = Kind::kSink;
     std::uint32_t index = 0;
+    /// kSink only: the slot's drivers `first_driver .. first_driver +
+    /// drivers - 1` fired in the previous cycle and are the only active
+    /// ones (one cycle's fires into one slot get consecutive driver
+    /// numbers). No driver resolves to DISC, one to a copy of its
+    /// contribution, two or more to the `resolve_rt` fold.
+    std::uint32_t first_driver = 0;
+    std::uint32_t drivers = 0;
   };
 
   /// Everything one delta cycle does besides its action slices, shared by
   /// all lanes. CS/PH assignments never carry lane-varying state, so they
   /// are folded into the lane-uniform counter increments instead of update
-  /// entries.
+  /// entries; so are the releases, and the evaluations and output updates
+  /// of modules that do not step.
   struct Cycle {
-    std::uint32_t fires = 0;     ///< offset of the first fire in `fires`
-    std::uint32_t releases = 0;  ///< offset of the first release
-    std::uint32_t updates = 0;   ///< offset of the first update entry
+    std::uint32_t fires = 0;         ///< offset of the first fire in `fires`
+    std::uint32_t updates = 0;       ///< offset of the first update entry
+    std::uint32_t module_steps = 0;  ///< offset of the first module step
+    std::uint32_t latches = 0;       ///< offset of the first latch
     /// Counter increments identical for every lane this cycle: updates from
-    /// CS/PH/sink/module-out entries, events from CS/PH (each assignment on
-    /// the phase wheel changes the value), transactions from
-    /// fires/releases/module evaluations/controller drives.
+    /// CS/PH/sinks/every module's output, events from CS/PH (each
+    /// assignment on the phase wheel changes the value), transactions from
+    /// fires/releases/every module's evaluation/controller drives.
     std::uint32_t uniform_updates = 0;
     std::uint32_t uniform_events = 0;
     std::uint32_t uniform_transactions = 0;
     unsigned step = 0;
     rtl::Phase phase = rtl::Phase::kRa;
-    bool eval_modules = false;
-    bool latch_registers = false;
   };
 
   struct Module {
@@ -110,8 +125,16 @@ struct LanePlan {
   /// `cr` latches.
   std::vector<Cycle> cycles;
   std::vector<Fire> fires;
-  std::vector<Release> releases;
   std::vector<Update> updates;
+  /// Module indices stepped at a `cm`: the ones whose input or op ports
+  /// were driven at the `rb` before, those within `latency + 1` steps after
+  /// such a step (the pipeline drains to the idle value), and every module
+  /// in its first `latency + 1` steps (an idle MACC outputs its accumulator,
+  /// a VALUE, while its pipeline starts DISC).
+  std::vector<std::uint32_t> module_steps;
+  /// Register indices latched at a `cr`: the ones whose `.in` port was
+  /// driven at the `wb` before.
+  std::vector<std::uint32_t> latches;
 
   std::uint64_t wheel_cycles = 0;  ///< cs_max * kPhasesPerStep
   bool trailing_has_static_updates = false;
@@ -120,11 +143,15 @@ struct LanePlan {
   [[nodiscard]] std::span<const Fire> fires_at(std::uint64_t d) const {
     return slice(fires, &Cycle::fires, d);
   }
-  [[nodiscard]] std::span<const Release> releases_at(std::uint64_t d) const {
-    return slice(releases, &Cycle::releases, d);
-  }
   [[nodiscard]] std::span<const Update> updates_at(std::uint64_t d) const {
     return slice(updates, &Cycle::updates, d);
+  }
+  [[nodiscard]] std::span<const std::uint32_t> module_steps_at(
+      std::uint64_t d) const {
+    return slice(module_steps, &Cycle::module_steps, d);
+  }
+  [[nodiscard]] std::span<const std::uint32_t> latches_at(std::uint64_t d) const {
+    return slice(latches, &Cycle::latches, d);
   }
 
  private:
@@ -140,12 +167,12 @@ struct LanePlan {
 };
 
 /// Lowers a design and its static schedule into the lane plan: identical
-/// slot/driver assignment and fire/release placement to
-/// `rtl::CompiledEngine` (level order == `RtModel` add order, so the
-/// per-lane conflict order matches the per-instance engines exactly) and
-/// the event kernel's pending order as static update lists. Throws
-/// `std::invalid_argument` for an operation endpoint on a module without
-/// an operation port.
+/// slot/driver assignment and fire placement to `rtl::CompiledEngine`
+/// (level order == `RtModel` add order, so the per-lane conflict order
+/// matches the per-instance engines exactly) and the event kernel's pending
+/// order as static update lists, less the entries that cannot change a
+/// lane's state. Throws `std::invalid_argument` for an operation endpoint
+/// on a module without an operation port.
 [[nodiscard]] LanePlan lower_lane_plan(const Design& design,
                                        const StaticSchedule& schedule);
 

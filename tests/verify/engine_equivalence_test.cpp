@@ -338,9 +338,10 @@ TEST(LaneEngine, TableStatsReflectLoweredDesign) {
   EXPECT_EQ(stats.fire_actions, 6u);
   EXPECT_EQ(stats.release_actions, 6u);
   // 2 preloads, 12 sink re-resolutions (one per fire and release), the ADD
-  // output after each of the 7 cm cycles, both register outputs after each
-  // of the 7 cr cycles.
-  EXPECT_EQ(stats.update_entries, 2u + 12u + 7u + 14u);
+  // output after the 5 cm cycles it steps at (steps 1-2 for its initial
+  // window, 5 for the read, 6-7 for the latency-1 drain), and R1's output
+  // after the one cr it latches at (step 6).
+  EXPECT_EQ(stats.update_entries, 2u + 12u + 5u + 1u);
   EXPECT_EQ(stats.modules, 1u);
   EXPECT_EQ(stats.registers, 2u);
 }

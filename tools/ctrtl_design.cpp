@@ -357,53 +357,60 @@ int main(int argc, char** argv) {
   }
 
   if (simulate || !vcd_out.empty()) {
-    const ctrtl::rtl::TransferMode mode =
-        engine == "compiled" ? ctrtl::rtl::TransferMode::kCompiled
-        : dispatch           ? ctrtl::rtl::TransferMode::kDispatch
-                             : ctrtl::rtl::TransferMode::kProcessPerTransfer;
-    auto model = faulted ? ctrtl::fault::build_model(*faulted, mode)
-                         : ctrtl::transfer::build_model(design, mode);
-    for (const auto& [name, value] : inputs) {
-      model->set_input(name, ctrtl::rtl::RtValue::of(value));
-    }
-    std::unique_ptr<ctrtl::verify::TraceRecorder> recorder;
-    if (!vcd_out.empty()) {
-      recorder =
-          std::make_unique<ctrtl::verify::TraceRecorder>(model->scheduler());
-    }
-    const ctrtl::rtl::RunResult result = model->run(
-        ctrtl::rtl::RunOptions{.max_delta_cycles = max_delta_cycles});
-    std::printf("simulated: %llu delta cycles, %llu events, %s mode\n",
-                static_cast<unsigned long long>(result.stats.delta_cycles),
-                static_cast<unsigned long long>(result.stats.events),
-                engine == "compiled" ? "compiled"
-                : dispatch           ? "dispatch"
-                                     : "process-per-transfer");
-    for (const auto& conflict : result.conflicts) {
-      std::printf("  %s\n", to_string(conflict).c_str());
-    }
-    std::printf("final register values:\n");
-    for (const auto& reg : design.registers) {
-      std::printf("  %-12s %s\n", reg.name.c_str(),
-                  to_string(model->find_register(reg.name)->value()).c_str());
-    }
-    if (recorder) {
-      std::ofstream vcd(vcd_out);
-      if (!vcd) {
-        std::fprintf(stderr, "cannot write '%s'\n", vcd_out.c_str());
-        return 1;
+    try {
+      const ctrtl::rtl::TransferMode mode =
+          engine == "compiled" ? ctrtl::rtl::TransferMode::kCompiled
+          : dispatch           ? ctrtl::rtl::TransferMode::kDispatch
+                               : ctrtl::rtl::TransferMode::kProcessPerTransfer;
+      auto model = faulted ? ctrtl::fault::build_model(*faulted, mode)
+                           : ctrtl::transfer::build_model(design, mode);
+      for (const auto& [name, value] : inputs) {
+        model->set_input(name, ctrtl::rtl::RtValue::of(value));
       }
-      ctrtl::verify::write_vcd(vcd, recorder->events());
-      std::printf("wrote %zu events to %s\n", recorder->events().size(),
-                  vcd_out.c_str());
+      std::unique_ptr<ctrtl::verify::TraceRecorder> recorder;
+      if (!vcd_out.empty()) {
+        recorder =
+            std::make_unique<ctrtl::verify::TraceRecorder>(model->scheduler());
+      }
+      const ctrtl::rtl::RunResult result = model->run(
+          ctrtl::rtl::RunOptions{.max_delta_cycles = max_delta_cycles});
+      std::printf("simulated: %llu delta cycles, %llu events, %s mode\n",
+                  static_cast<unsigned long long>(result.stats.delta_cycles),
+                  static_cast<unsigned long long>(result.stats.events),
+                  engine == "compiled" ? "compiled"
+                  : dispatch           ? "dispatch"
+                                       : "process-per-transfer");
+      for (const auto& conflict : result.conflicts) {
+        std::printf("  %s\n", to_string(conflict).c_str());
+      }
+      std::printf("final register values:\n");
+      for (const auto& reg : design.registers) {
+        std::printf("  %-12s %s\n", reg.name.c_str(),
+                    to_string(model->find_register(reg.name)->value()).c_str());
+      }
+      if (recorder) {
+        std::ofstream vcd(vcd_out);
+        if (!vcd) {
+          std::fprintf(stderr, "cannot write '%s'\n", vcd_out.c_str());
+          return 1;
+        }
+        ctrtl::verify::write_vcd(vcd, recorder->events());
+        std::printf("wrote %zu events to %s\n", recorder->events().size(),
+                    vcd_out.c_str());
+      }
+      if (!result.report.ok()) {
+        std::fprintf(stderr, "%s", result.report.to_text().c_str());
+        return result.report.status == ctrtl::rtl::RunStatus::kWatchdogTripped
+                   ? 4
+                   : 2;
+      }
+      return result.conflict_free() ? 0 : 3;
+    } catch (const std::exception& error) {
+      // Lowering or running can exhaust memory (a huge cs_max): report it
+      // like the --batch path instead of aborting on an uncaught throw.
+      std::fprintf(stderr, "simulation failed: %s\n", error.what());
+      return 2;
     }
-    if (!result.report.ok()) {
-      std::fprintf(stderr, "%s", result.report.to_text().c_str());
-      return result.report.status == ctrtl::rtl::RunStatus::kWatchdogTripped
-                 ? 4
-                 : 2;
-    }
-    return result.conflict_free() ? 0 : 3;
   }
   return 0;
 }
