@@ -54,11 +54,22 @@ echo "=== service smoke (ctrtl_serve e2e, E14 correctness half) ==="
 # Real server on a Unix socket: cold and warm submissions diffed
 # byte-for-byte against ctrtl_design --simulate, the cache-hit counter
 # proving the warm job skipped lowering, fault-plan / watchdog / garbage
-# jobs as structured results, clean SHUTDOWN. The E14 saturation protocol
-# (worker sweep, BUSY rates) is documented in EXPERIMENTS.md; the
-# cold-vs-warm latency pair lands in BENCH_kernel.json via bench_to_json.
+# jobs as structured results, clean SHUTDOWN. Service timings come from
+# ctrtl_bench (E14 in EXPERIMENTS.md).
 "$(dirname "$0")/serve_smoke.sh" "$BUILD"/tools/ctrtl_serve \
   "$BUILD"/tools/ctrtl_design . 2>&1 | tee serve_smoke_output.txt
 
-echo "=== bench smoke (JSON harness) ==="
-"$(dirname "$0")/bench_smoke.sh" "$BUILD"
+echo "=== benchmark correctness gate (hot_small, wide_batch) ==="
+# The CI gate: 3-s runs of the end-to-end benchmark (ctrtl_bench/), whose
+# last stdout line must read "correct": true and "failed": 0. Every served
+# REPORT is checked against the per-instance reference and the rtl.sim.*
+# counts against ctrtl_bench/expected_counts.tsv.
+for workload in hot_small wide_batch; do
+  python3 ctrtl_bench/run.py --workload "$workload" --seed 0 --seconds 3 \
+    --trace 0 | tail -n 1 | python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+print(result)
+sys.exit(0 if result["correct"] is True and result["failed"] == 0 else 1)
+' || { echo "benchmark gate failed on $workload"; exit 1; }
+done

@@ -139,13 +139,6 @@ void declare_constants(Build& b, unsigned count) {
 
 const ModuleDecl& declare_module(Build& b, std::string name, ModuleKind kind,
                                  unsigned latency) {
-  // CopyModule elaborates with a hard-wired zero latency and MaccModule with
-  // one; the decl must agree or the reference pipeline depth would diverge.
-  if (kind == ModuleKind::kCopy) {
-    latency = 0;
-  } else if (kind == ModuleKind::kMacc) {
-    latency = 1;
-  }
   b.design.modules.push_back({std::move(name), kind, latency});
   return b.design.modules.back();
 }

@@ -147,37 +147,21 @@ BatchRunResult BatchRunner::run(std::size_t count, const BatchResultSink& sink) 
             // instances that actually ran.
             return std::vector<InstanceResult>(width, cancelled_instance());
           }
+          std::vector<InstanceResult> block;
           try {
-            std::vector<InstanceResult> block = lane_engine_->run_block(
-                first, width, inputs_, options_.max_cycles,
-                options_.max_delta_cycles);
-            emit(first, block);
-            return block;
-          } catch (const std::exception&) {
-            // One lane poisoned the whole SoA block (typically its input
-            // provider threw). Isolate by re-running the block one lane at
-            // a time: single-lane results equal multi-lane results by the
-            // lane contract, so healthy instances are byte-identical to the
-            // un-failed run and only the offender reports an error.
-            std::vector<InstanceResult> isolated;
-            isolated.reserve(width);
-            for (std::size_t i = 0; i < width; ++i) {
-              try {
-                std::vector<InstanceResult> one = lane_engine_->run_block(
-                    first + i, 1, inputs_, options_.max_cycles,
-                    options_.max_delta_cycles);
-                isolated.push_back(std::move(one[0]));
-              } catch (const std::exception& error) {
-                InstanceResult failed;
-                failed.report.status = RunStatus::kError;
-                failed.report.diagnostics.push_back(
-                    error_diagnostic(error.what()));
-                isolated.push_back(std::move(failed));
-              }
-            }
-            emit(first, isolated);
-            return isolated;
+            block = lane_engine_->run_block(first, width, inputs_,
+                                            options_.max_cycles,
+                                            options_.max_delta_cycles);
+          } catch (const std::exception& error) {
+            // run_block fails a lane whose inputs fail on its own; what
+            // escapes it (allocation) is the whole block's failure.
+            InstanceResult failed;
+            failed.report.status = RunStatus::kError;
+            failed.report.diagnostics.push_back(error_diagnostic(error.what()));
+            block.assign(width, failed);
           }
+          emit(first, block);
+          return block;
         });
     result.instances.reserve(count);
     for (std::vector<InstanceResult>& block_results : blocks) {

@@ -177,7 +177,9 @@ struct BatchRunResult {
 /// or trips the delta-cycle watchdog yields an `InstanceResult` whose
 /// `report` records the failure with its diagnostics, while every other
 /// instance completes normally — and the result stays byte-stable across
-/// worker counts.
+/// worker counts. Under `kCompiledLanes` a lane's inputs fail it alone; a
+/// throw from the block's run itself (allocation) fails every lane of that
+/// block with the same diagnostic.
 class BatchRunner {
  public:
   using ModelFactory = std::function<std::unique_ptr<RtModel>(std::size_t instance)>;

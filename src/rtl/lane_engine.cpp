@@ -4,6 +4,7 @@
 #include <chrono>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "rtl/modules.h"
@@ -84,6 +85,7 @@ struct LaneEngine::LaneBlock {
   /// Where one module's per-lane state lives.
   struct ModuleLanes {
     std::size_t ring = 0;  ///< kernel kinds: first row of its `ring` rows
+    std::size_t rows = 0;  ///< kernel kinds: ring rows (pipeline depth)
     std::size_t head = 0;  ///< kernel kinds: ring offset of the oldest row
     std::size_t sims = 0;  ///< ModuleSim kinds: first of its `sims`
   };
@@ -93,7 +95,7 @@ struct LaneEngine::LaneBlock {
   Planes values;                             ///< signals × lanes
   Planes contributions;                      ///< total drivers × lanes
   std::vector<ModuleLanes> module_lanes;     ///< one per module
-  Planes ring;                               ///< kernel-module latencies × lanes
+  Planes ring;                               ///< kernel-module pipeline rows × lanes
   std::vector<std::uint8_t> poisoned;        ///< modules × lanes
   std::vector<transfer::ModuleSim> sims;     ///< ModuleSim-kind modules × lanes
   std::vector<RtValue> scratch;              ///< one ModuleSim's operands
@@ -188,7 +190,7 @@ struct LaneEngine::LaneBlock {
   /// block: `ModuleSim::step` with `apply` as the function. The operand
   /// discipline is `ModuleSim::evaluate`'s: any ILLEGAL operand, or some but
   /// not all operands present, gives ILLEGAL; none present gives DISC. A
-  /// pipelined module is a ring of `latency` rows whose head (the oldest
+  /// pipelined module is a ring of `rows` rows whose head (the oldest
   /// row) is the same for every lane; an ILLEGAL entering it poisons the
   /// lane's pipeline for good. The head only advances at the steps the plan
   /// lists; between them every row of a lane holds the same idle value, so
@@ -196,7 +198,7 @@ struct LaneEngine::LaneBlock {
   /// both operands, which leaves the discipline unchanged.
   template <unsigned kArity, typename Apply>
   void step_kernel(std::size_t m, const transfer::LanePlan::Module& module,
-                   unsigned latency, Apply apply) {
+                   Apply apply) {
     const Tag* a_tag = values.tag_row(module.inputs[0]);
     const std::int64_t* a = values.payload_row(module.inputs[0]);
     const Tag* b_tag = values.tag_row(module.inputs[kArity - 1]);
@@ -204,14 +206,15 @@ struct LaneEngine::LaneBlock {
     Tag* out_tag = module_pending.tag_row(m);
     std::int64_t* out = module_pending.payload_row(m);
     ModuleLanes& state = module_lanes[m];
-    Tag* stage_tag = latency > 0 ? ring.tag_row(state.ring + state.head) : nullptr;
+    const std::size_t rows = state.rows;
+    Tag* stage_tag = rows > 0 ? ring.tag_row(state.ring + state.head) : nullptr;
     std::int64_t* stage =
-        latency > 0 ? ring.payload_row(state.ring + state.head) : nullptr;
+        rows > 0 ? ring.payload_row(state.ring + state.head) : nullptr;
     std::uint8_t* lane_poisoned = poisoned.data() + m * lanes;
     for (std::size_t lane = 0, n = lanes; lane < n; ++lane) {
       Tag next = kIllegal;
       std::int64_t next_payload = 0;
-      if (latency == 0 || lane_poisoned[lane] == 0) {
+      if (rows == 0 || lane_poisoned[lane] == 0) {
         if (a_tag[lane] == kValue && b_tag[lane] == kValue) {
           next = kValue;
           next_payload = apply(a[lane], b[lane]);
@@ -219,7 +222,7 @@ struct LaneEngine::LaneBlock {
           next = kDisc;
         }
       }
-      if (latency == 0) {
+      if (rows == 0) {
         out_tag[lane] = next;
         out[lane] = next_payload;
         continue;
@@ -232,8 +235,8 @@ struct LaneEngine::LaneBlock {
         lane_poisoned[lane] = 1;
       }
     }
-    if (latency > 0) {
-      state.head = state.head + 1 == latency ? 0 : state.head + 1;
+    if (rows > 0) {
+      state.head = state.head + 1 == rows ? 0 : state.head + 1;
     }
   }
 
@@ -341,23 +344,23 @@ void LaneEngine::execute_cycle(std::uint64_t ordinal, LaneBlock& block) const {
     const transfer::LanePlan::Module& module = tables.modules[m];
     switch (decl.kind) {
       case transfer::ModuleKind::kAdd:
-        block.step_kernel<2>(m, module, decl.latency,
+        block.step_kernel<2>(m, module,
                              [](std::int64_t a, std::int64_t b) { return a + b; });
         break;
       case transfer::ModuleKind::kSub:
-        block.step_kernel<2>(m, module, decl.latency,
+        block.step_kernel<2>(m, module,
                              [](std::int64_t a, std::int64_t b) { return a - b; });
         break;
       case transfer::ModuleKind::kMul: {
         const unsigned frac_bits = decl.frac_bits;
-        block.step_kernel<2>(m, module, decl.latency,
+        block.step_kernel<2>(m, module,
                              [frac_bits](std::int64_t a, std::int64_t b) {
                                return fixed_mul(a, b, frac_bits);
                              });
         break;
       }
       case transfer::ModuleKind::kCopy:
-        block.step_kernel<1>(m, module, decl.latency,
+        block.step_kernel<1>(m, module,
                              [](std::int64_t a, std::int64_t) { return a; });
         break;
       case transfer::ModuleKind::kAlu:
@@ -414,21 +417,26 @@ std::vector<InstanceResult> LaneEngine::run_block(
   block.reg_dirty.assign(tables.registers.size() * lanes, 0);
   block.turned_illegal.assign(lanes, 0);
 
-  // Module state by kind: kernel kinds get `latency` ring rows, the others
-  // one ModuleSim per lane.
+  // Module state by kind: kernel kinds get a ring of pipeline rows, the
+  // others one ModuleSim per lane. A module steps at most once per control
+  // step, so a value entering a pipeline deeper than cs_max + 1 never leaves
+  // it within the run: no pipeline keeps more stages than that.
   block.module_lanes.resize(tables.modules.size());
   std::size_t ring_rows = 0;
   std::size_t max_arity = 0;
   for (std::size_t m = 0; m < tables.modules.size(); ++m) {
     const transfer::ModuleDecl& decl = design.modules[m];
+    const auto depth = static_cast<unsigned>(
+        std::min<std::uint64_t>(decl.latency, std::uint64_t{design.cs_max} + 1));
     if (has_kernel(decl.kind)) {
       block.module_lanes[m].ring = ring_rows;
-      ring_rows += decl.latency;
+      block.module_lanes[m].rows = depth;
+      ring_rows += depth;
       continue;
     }
     block.module_lanes[m].sims = block.sims.size();
     for (std::size_t lane = 0; lane < lanes; ++lane) {
-      block.sims.emplace_back(decl);
+      block.sims.emplace_back(decl, depth);
     }
     max_arity = std::max(max_arity, tables.modules[m].inputs.size());
   }
@@ -441,21 +449,29 @@ std::vector<InstanceResult> LaneEngine::run_block(
   block.conflicts.resize(lanes);
 
   // --- per-lane inputs: publish now, count the first touches at cycle 1 ----
+  // A provider that throws, or names an input the design lacks, fails its
+  // lane alone: the lane still runs with the block (lanes never interact)
+  // but reports only the error.
   std::vector<std::uint64_t> touched_inputs(lanes, 0);
+  std::vector<std::pair<std::size_t, std::string>> input_failures;
   if (inputs) {
     std::vector<std::uint32_t> touched;
     for (std::size_t lane = 0; lane < lanes; ++lane) {
       touched.clear();
-      for (const auto& [name, value] : inputs(first_instance + lane)) {
-        const auto it = tables.input_index.find(name);
-        if (it == tables.input_index.end()) {
-          throw std::invalid_argument("no input named '" + name + "'");
+      try {
+        for (const auto& [name, value] : inputs(first_instance + lane)) {
+          const auto it = tables.input_index.find(name);
+          if (it == tables.input_index.end()) {
+            throw std::invalid_argument("no input named '" + name + "'");
+          }
+          block.values.set(it->second, lane, value);
+          if (std::find(touched.begin(), touched.end(), it->second) ==
+              touched.end()) {
+            touched.push_back(it->second);
+          }
         }
-        block.values.set(it->second, lane, value);
-        if (std::find(touched.begin(), touched.end(), it->second) ==
-            touched.end()) {
-          touched.push_back(it->second);
-        }
+      } catch (const std::exception& error) {
+        input_failures.emplace_back(lane, error.what());
       }
       touched_inputs[lane] = touched.size();
     }
@@ -572,6 +588,13 @@ std::vector<InstanceResult> LaneEngine::run_block(
           design.registers[r].name,
           block.values.get(tables.registers[r].out, lane));
     }
+  }
+  for (auto& [lane, message] : input_failures) {
+    InstanceResult failed;
+    failed.report.status = RunStatus::kError;
+    failed.report.diagnostics.push_back(
+        {common::Severity::kError, std::move(message), {}});
+    results[lane] = std::move(failed);
   }
   return results;
 }

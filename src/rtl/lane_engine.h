@@ -68,7 +68,10 @@ class LaneEngine {
   /// applied to every lane; `max_delta_cycles` arms the per-lane watchdog
   /// (`RunOptions::max_delta_cycles` semantics) — a trip marks the affected
   /// lanes' reports kWatchdogTripped with the same diagnostic the other
-  /// engines emit, while already-quiescent lanes stay kOk.
+  /// engines emit, while already-quiescent lanes stay kOk. A lane whose
+  /// input provider throws, or names an input the design lacks, reports
+  /// kError with that message, no registers and zero counters; the other
+  /// lanes run on. Anything else that throws (allocation) fails the block.
   [[nodiscard]] std::vector<InstanceResult> run_block(
       std::size_t first_instance, std::size_t lanes,
       const InputProvider& inputs,

@@ -89,9 +89,9 @@ AluModule::OpTable make_standard_alu_ops() {
 // --- CopyModule --------------------------------------------------------------
 
 CopyModule::CopyModule(kernel::Scheduler& scheduler, Controller& controller,
-                       std::string name)
+                       std::string name, unsigned latency)
     : Module(scheduler, controller, std::move(name),
-             Config{/*num_inputs=*/1, /*latency=*/0, /*has_op_port=*/false}) {}
+             Config{/*num_inputs=*/1, latency, /*has_op_port=*/false}) {}
 
 std::int64_t CopyModule::compute(std::span<const std::int64_t> operands,
                                  std::int64_t /*op*/) {
@@ -101,9 +101,9 @@ std::int64_t CopyModule::compute(std::span<const std::int64_t> operands,
 // --- MaccModule --------------------------------------------------------------
 
 MaccModule::MaccModule(kernel::Scheduler& scheduler, Controller& controller,
-                       std::string name, unsigned frac_bits)
+                       std::string name, unsigned frac_bits, unsigned latency)
     : Module(scheduler, controller, std::move(name),
-             Config{/*num_inputs=*/2, /*latency=*/1, /*has_op_port=*/true}),
+             Config{/*num_inputs=*/2, latency, /*has_op_port=*/true}),
       frac_bits_(frac_bits) {}
 
 unsigned MaccModule::arity_for(std::int64_t op) const {

@@ -81,12 +81,14 @@ inline constexpr std::int64_t kRshiftMax = 63;
 /// family — the operation repertoire of the IKS adders.
 [[nodiscard]] AluModule::OpTable make_standard_alu_ops();
 
-/// Unary pass-through with zero latency. The paper's recipe for direct
-/// register-to-register and register-to-module links: "two extra buses and
-/// one extra module, which just copies the input to the output".
+/// Unary pass-through, zero latency unless declared otherwise. The paper's
+/// recipe for direct register-to-register and register-to-module links: "two
+/// extra buses and one extra module, which just copies the input to the
+/// output".
 class CopyModule final : public Module {
  public:
-  CopyModule(kernel::Scheduler& scheduler, Controller& controller, std::string name);
+  CopyModule(kernel::Scheduler& scheduler, Controller& controller, std::string name,
+             unsigned latency = 0);
 
  protected:
   std::int64_t compute(std::span<const std::int64_t> operands,
@@ -97,9 +99,9 @@ class CopyModule final : public Module {
 /// an internal accumulator operating on fixed-point payloads.
 ///
 /// Ops: clear (acc := 0), mac (acc := acc + a*b), load (acc := a),
-/// hold (keep). The accumulator value of the *previous* control step is
-/// visible at the output (latency-1 pipelined behaviour, like the paper's
-/// ADD). A DISC op with idle operands holds the accumulator.
+/// hold (keep). By default the accumulator value of the *previous* control
+/// step is visible at the output (latency-1 pipelined behaviour, like the
+/// paper's ADD). A DISC op with idle operands holds the accumulator.
 class MaccModule final : public Module {
  public:
   static constexpr std::int64_t kOpClear = 0;
@@ -108,7 +110,7 @@ class MaccModule final : public Module {
   static constexpr std::int64_t kOpHold = 3;
 
   MaccModule(kernel::Scheduler& scheduler, Controller& controller, std::string name,
-             unsigned frac_bits);
+             unsigned frac_bits, unsigned latency = 1);
 
  protected:
   RtValue evaluate(std::span<const RtValue> operands, const RtValue& op) override;

@@ -35,10 +35,10 @@ void add_module_for(rtl::RtModel& model, const ModuleDecl& decl) {
                                        rtl::make_standard_alu_ops());
       return;
     case ModuleKind::kCopy:
-      model.add_module<rtl::CopyModule>(decl.name);
+      model.add_module<rtl::CopyModule>(decl.name, decl.latency);
       return;
     case ModuleKind::kMacc:
-      model.add_module<rtl::MaccModule>(decl.name, decl.frac_bits);
+      model.add_module<rtl::MaccModule>(decl.name, decl.frac_bits, decl.latency);
       return;
     case ModuleKind::kCordic:
       model.add_module<rtl::CordicModule>(decl.name, decl.frac_bits,

@@ -45,7 +45,7 @@ std::optional<unsigned> required_ports(const ModuleDecl& module,
       static const rtl::AluModule::OpTable kOps = rtl::make_standard_alu_ops();
       const auto it = kOps.find(*op);
       if (it == kOps.end()) {
-        return std::nullopt;  // unknown op: flagged by elaboration, not here
+        return std::nullopt;  // unknown op: rejected by validate, not here
       }
       return it->second.arity;
     }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <set>
 
+#include "rtl/modules.h"
+
 namespace ctrtl::transfer {
 
 std::string to_string(ModuleKind kind) {
@@ -103,6 +105,23 @@ void check_operand_source(const Design& design, const Endpoint& source,
   }
 }
 
+/// Whether `op` is an operation of the op-port kind `kind`: an entry of the
+/// standard ALU op table, a MACC clear/mac/load/hold, a CORDIC sin/cos.
+bool defines_op(ModuleKind kind, std::int64_t op) {
+  switch (kind) {
+    case ModuleKind::kAlu: {
+      static const rtl::AluModule::OpTable kAluOps = rtl::make_standard_alu_ops();
+      return kAluOps.contains(op);
+    }
+    case ModuleKind::kMacc:
+      return op >= rtl::MaccModule::kOpClear && op <= rtl::MaccModule::kOpHold;
+    case ModuleKind::kCordic:
+      return op == rtl::CordicModule::kOpSin || op == rtl::CordicModule::kOpCos;
+    default:
+      return false;
+  }
+}
+
 template <typename Decl>
 void check_unique_names(const std::vector<Decl>& decls, const char* what,
                         std::set<std::string>& all_names,
@@ -190,6 +209,10 @@ bool validate(const Design& design, common::DiagnosticBag& diags) {
       if (t.op.has_value() && !module->has_op_port()) {
         diags.error(context + ": op code on module '" + t.module +
                     "' which has no operation port");
+      } else if (t.op.has_value() && !defines_op(module->kind, *t.op)) {
+        diags.error(context + ": op code " + std::to_string(*t.op) +
+                    " is not an operation of " + to_string(module->kind) +
+                    " module '" + t.module + "'");
       }
       if (!t.op.has_value() && module->has_op_port() && has_read) {
         diags.error(context + ": module '" + t.module +

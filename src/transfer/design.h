@@ -81,7 +81,8 @@ struct Design {
 
 /// Structural well-formedness: every name a transfer references must be
 /// declared, steps must lie in 1..cs_max, module ports must exist, op codes
-/// only on op-port modules, write step consistent with module latency.
+/// only on op-port modules and only ones their kind defines, write step
+/// consistent with module latency.
 /// Reports all problems into `diags`; returns !has_errors.
 bool validate(const Design& design, common::DiagnosticBag& diags);
 

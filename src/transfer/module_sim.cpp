@@ -1,5 +1,6 @@
 #include "transfer/module_sim.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
@@ -9,8 +10,10 @@ namespace ctrtl::transfer {
 
 using rtl::RtValue;
 
-ModuleSim::ModuleSim(const ModuleDecl& decl) : decl_(&decl) {
-  pipeline_.assign(decl.latency, RtValue::disc());
+ModuleSim::ModuleSim(const ModuleDecl& decl) : ModuleSim(decl, decl.latency) {}
+
+ModuleSim::ModuleSim(const ModuleDecl& decl, unsigned stages) : decl_(&decl) {
+  pipeline_.assign(std::min(stages, decl.latency), RtValue::disc());
 }
 
 unsigned ModuleSim::arity_for(std::int64_t op) const {

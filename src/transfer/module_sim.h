@@ -19,6 +19,11 @@ class ModuleSim {
  public:
   explicit ModuleSim(const ModuleDecl& decl);
 
+  /// Keeps only `stages` pipeline stages (at least 1, at most the declared
+  /// latency). A run that steps the unit fewer than `stages` times sees no
+  /// value leave a deeper pipeline either, so its results are unchanged.
+  ModuleSim(const ModuleDecl& decl, unsigned stages);
+
   /// Operand count the given op consumes.
   [[nodiscard]] unsigned arity_for(std::int64_t op) const;
 

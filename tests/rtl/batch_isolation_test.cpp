@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <stdexcept>
 
 #include "transfer/build.h"
@@ -99,19 +101,21 @@ TEST(BatchIsolation, FailingInstancesDoNotStopTheBatch) {
 }
 
 TEST(BatchIsolation, LanePathIsolatesAThrowingInputProvider) {
-  // The lane engine simulates a whole SoA block at once, so one poisoned
-  // lane aborts its block mid-flight. The runner re-runs that block one lane
-  // at a time: healthy lanes are byte-identical to an unpoisoned run (the
-  // lane contract makes single-lane == multi-lane) and only the offender
-  // reports the error.
+  // The lane engine simulates a whole SoA block at once. A lane whose input
+  // provider throws fails alone while its block publishes the inputs: the
+  // block runs on, every provider is called exactly once, healthy lanes are
+  // byte-identical to an unpoisoned run and only the offender reports the
+  // error.
   Design d = quick_design();
   d.inputs = {{"X"}};
   transfer::RegisterTransfer& t = d.transfers[0];
   t.operand_b->source = transfer::Endpoint::input("X");
   const auto design = transfer::CompiledDesign::compile(d);
 
-  const BatchInputProvider provider = [](std::size_t instance)
+  std::array<std::atomic<unsigned>, 10> calls{};
+  const BatchInputProvider provider = [&calls](std::size_t instance)
       -> std::vector<std::pair<std::string, RtValue>> {
+    ++calls[instance];
     if (instance == 7) {
       throw std::runtime_error("input provider failed for instance 7");
     }
@@ -120,12 +124,19 @@ TEST(BatchIsolation, LanePathIsolatesAThrowingInputProvider) {
 
   std::vector<BatchRunResult> results;
   for (const std::size_t workers : {1u, 2u, 4u}) {
+    for (std::atomic<unsigned>& count : calls) {
+      count = 0;
+    }
     BatchRunner runner(design,
                        {.workers = workers,
                         .engine = BatchEngineKind::kCompiledLanes,
                         .lane_block = 4},
                        provider);
     results.push_back(runner.run(10));
+    for (std::size_t i = 0; i < calls.size(); ++i) {
+      EXPECT_EQ(calls[i].load(), 1u)
+          << "instance " << i << " with " << workers << " workers";
+    }
   }
 
   const BatchRunResult& batch = results[0];
@@ -145,8 +156,8 @@ TEST(BatchIsolation, LanePathIsolatesAThrowingInputProvider) {
               RtValue::of(30 + static_cast<std::int64_t>(i)))
         << "instance " << i;
   }
-  // Lanes 4-6 shared the poisoned block; their isolated re-runs must equal
-  // the corresponding instances of an unpoisoned reference batch.
+  // Lanes 4-6 shared the poisoned block; they must equal the corresponding
+  // instances of an unpoisoned reference batch.
   BatchRunner reference_runner(
       design,
       {.workers = 1,

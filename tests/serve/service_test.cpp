@@ -242,10 +242,17 @@ TEST(ServiceTest, FailingSourcesFailTheSameWayWhenResubmitted) {
   bad_plan.fault_plan_text = "force-bus NOSUCHBUS = 1 @5:ra\n";
   JobRequest invalid = fig1_job("validate");
   invalid.design_text.replace(invalid.design_text.find("5 ADD"), 5, "5 NOPE");
+  // CORDIC defines op codes 0 (sin) and 1 (cos) only.
+  JobRequest bad_op = fig1_job("op");
+  bad_op.design_text =
+      "design rot\ncs_max 3\nregister A init 1\nregister S init 0\n"
+      "bus B1\nbus B2\nmodule ROT cordic latency 1 frac 16 iters 12\n"
+      "transfer A B1 - - 1 ROT 2 B2 S op 7\n";
   const std::vector<std::pair<JobRequest, ErrorCode>> cases = {
       {unparseable, ErrorCode::kParse},
       {bad_plan, ErrorCode::kFaultPlan},
       {invalid, ErrorCode::kValidate},
+      {bad_op, ErrorCode::kValidate},
   };
   for (const auto& [request, code] : cases) {
     std::vector<ErrorPayload> errors;

@@ -130,6 +130,36 @@ TEST(DesignValidate, RequiresOpOnOpPortModule) {
   EXPECT_TRUE(validate(d, diags)) << diags.to_text();
 }
 
+TEST(DesignValidate, RejectsOpCodesTheModuleKindLacks) {
+  // Each op-port kind takes only the codes its engines implement: an entry
+  // of the standard ALU op table, MACC clear/mac/load/hold, CORDIC sin/cos.
+  struct Case {
+    ModuleKind kind;
+    std::int64_t defined;
+    std::int64_t undefined;
+  };
+  for (const Case& c : {Case{ModuleKind::kAlu, 63, 999},
+                        Case{ModuleKind::kMacc, 3, 4},
+                        Case{ModuleKind::kCordic, 1, 7}}) {
+    Design d = fig1_design();
+    d.modules[0].kind = c.kind;
+    if (c.kind == ModuleKind::kCordic) {
+      d.transfers[0].operand_b.reset();
+    }
+    d.transfers[0].op = c.defined;
+    common::DiagnosticBag diags;
+    EXPECT_TRUE(validate(d, diags)) << to_string(c.kind) << ": " << diags.to_text();
+    d.transfers[0].op = c.undefined;
+    diags.clear();
+    EXPECT_FALSE(validate(d, diags)) << to_string(c.kind);
+    EXPECT_NE(diags.to_text().find("op code " + std::to_string(c.undefined) +
+                                   " is not an operation of " +
+                                   to_string(c.kind) + " module 'ADD'"),
+              std::string::npos)
+        << diags.to_text();
+  }
+}
+
 TEST(DesignValidate, RejectsSecondOperandOnUnaryModule) {
   Design d = fig1_design();
   d.modules[0].kind = ModuleKind::kCopy;

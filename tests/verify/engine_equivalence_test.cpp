@@ -8,6 +8,7 @@
 #include "rtl/modules.h"
 #include "transfer/build.h"
 #include "transfer/schedule.h"
+#include "transfer/text_format.h"
 #include "verify/equivalence.h"
 #include "verify/random_design.h"
 #include "verify/trace.h"
@@ -79,6 +80,72 @@ TEST_P(EngineSweepTest, ConflictingDesignsAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineSweepTest,
                          ::testing::Range(1u, 16u));  // 15 x 2 = 30 designs
+
+/// Designs whose module latencies are not their kinds' usual ones, with
+/// the register values the reference semantics gives them. Every engine
+/// must elaborate the declared latency: the event kernel and the compiled
+/// engine through `rtl::CopyModule`/`rtl::MaccModule`, the lane engine
+/// through its pipeline rows, bounded by cs_max + 1.
+struct DeclaredLatencyCase {
+  const char* name;
+  const char* text;
+  std::vector<std::pair<std::string, std::int64_t>> registers;
+};
+
+const DeclaredLatencyCase kDeclaredLatencyCases[] = {
+    // A latency-2 COPY: R2 receives R1 two steps after the read.
+    {"Copy2",
+     "design copy2\ncs_max 5\nregister R1 init 30\nregister R2 init 0\n"
+     "bus B1\nbus B2\nmodule C copy latency 2\n"
+     "transfer R1 B1 - - 2 C 4 B2 R2\n",
+     {{"R1", 30}, {"R2", 30}}},
+    // A latency-3 MACC: the MACs read at steps 2 and 3 arrive at 5 and 6,
+    // so R3 holds the first product alone.
+    {"Macc3",
+     "design macc3\ncs_max 7\nregister R1 init 30\nregister R2 init 12\n"
+     "register R3 init 0\nregister R4 init 0\nbus B1\nbus B2\nbus B3\n"
+     "module M macc latency 3\n"
+     "transfer R1 B1 R2 B2 2 M 5 B3 R3 op 1\n"
+     "transfer R1 B1 R2 B2 3 M 6 B3 R4 op 1\n",
+     {{"R1", 30}, {"R2", 12}, {"R3", 360}, {"R4", 720}}},
+    // Read-only transfers into modules deeper than the run (a kernel kind
+    // and two op-port kinds) beside fig1's addition: their values never
+    // leave the pipelines.
+    {"DeeperThanRun",
+     "design deep\ncs_max 7\nregister R1 init 30\nregister R2 init 12\n"
+     "bus B1\nbus B2\nbus B3\nbus B4\nmodule ADD add latency 1\n"
+     "module SLOW sub latency 9\nmodule DEEP alu latency 12\n"
+     "module ACC macc latency 10\n"
+     "transfer R1 B3 R2 B4 1 SLOW - - -\n"
+     "transfer R1 B3 R2 B4 2 DEEP - - - op 0\n"
+     "transfer R1 B3 R2 B4 3 ACC - - - op 1\n"
+     "transfer R1 B1 R2 B2 5 ADD 6 B1 R1\n",
+     {{"R1", 42}, {"R2", 12}}},
+};
+
+class DeclaredLatencyTest : public ::testing::TestWithParam<DeclaredLatencyCase> {};
+
+TEST_P(DeclaredLatencyTest, EnginesAndReferenceSemanticsAgree) {
+  common::DiagnosticBag diags;
+  const Design design = transfer::parse_design(GetParam().text, diags);
+  ASSERT_FALSE(diags.has_errors()) << diags.to_text();
+  const CheckReport engines = check_engine_equivalence(design);
+  EXPECT_TRUE(engines.consistent()) << design.name << ":\n" << engines.to_text();
+  const CheckReport reference = check_consistency(design);
+  EXPECT_TRUE(reference.consistent()) << design.name << ":\n"
+                                      << reference.to_text();
+  const EvalResult expected = evaluate(design);
+  for (const auto& [name, value] : GetParam().registers) {
+    EXPECT_EQ(expected.registers.at(name), rtl::RtValue::of(value))
+        << design.name << " " << name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Designs, DeclaredLatencyTest, ::testing::ValuesIn(kDeclaredLatencyCases),
+    [](const ::testing::TestParamInfo<DeclaredLatencyCase>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(EngineEquivalence, VcdOutputIsByteIdentical) {
   RandomDesignOptions options;
