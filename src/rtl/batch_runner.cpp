@@ -76,7 +76,7 @@ BatchRunner::BatchRunner(std::shared_ptr<const transfer::CompiledDesign> design,
     throw std::invalid_argument("BatchRunner requires a compiled design");
   }
   // The per-instance reference path for this design: elaborate from the
-  // shared schedule (no per-instance re-lowering) and apply the instance's
+  // shared instance stream (faulted or not) and apply the instance's
   // inputs. Used by run_one and by engine == kPerInstance.
   factory_ = [this](std::size_t instance) {
     std::unique_ptr<RtModel> model =

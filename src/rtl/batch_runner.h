@@ -191,8 +191,8 @@ class BatchRunner {
   /// All instances share one pre-lowered design (`CompiledDesign::compile`),
   /// differing only in the inputs the provider sets. Supports both engines:
   /// `kPerInstance` elaborates one model per instance from the shared
-  /// schedule (lower once, elaborate N times), `kCompiledLanes` shares the
-  /// whole action table and runs SoA lane blocks.
+  /// instance stream (validate once, elaborate N times), `kCompiledLanes`
+  /// shares the whole action table and runs SoA lane blocks.
   explicit BatchRunner(std::shared_ptr<const transfer::CompiledDesign> design,
                        BatchRunOptions options = {},
                        BatchInputProvider inputs = nullptr);

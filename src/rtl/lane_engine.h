@@ -16,8 +16,8 @@ namespace ctrtl::rtl {
 /// `CompiledEngine` (PR 3) proved the six-phase control steps are fully
 /// static and lowered a single model into straight-line per-delta-cycle
 /// tables. This engine takes the next step for batch workloads: all
-/// instances of a batch share one immutable `transfer::StaticSchedule` and
-/// one action plan (`transfer::LanePlan`, lowered exactly once by
+/// instances of a batch share one immutable action plan
+/// (`transfer::LanePlan`, lowered exactly once by
 /// `CompiledDesign::compile`), while the per-instance mutable state —
 /// signal values, sink contributions, module pipelines, register latches,
 /// conflict records, kernel counters — is laid out structure-of-arrays with
@@ -54,8 +54,7 @@ class LaneEngine {
   using InputProvider = BatchInputProvider;
 
   /// Runs the pre-compiled design's plan. The `CompiledDesign` (and the
-  /// schedule and plan inside it) is retained read-only for the engine's
-  /// lifetime.
+  /// plan inside it) is retained read-only for the engine's lifetime.
   explicit LaneEngine(std::shared_ptr<const transfer::CompiledDesign> compiled);
 
   LaneEngine(const LaneEngine&) = delete;

@@ -1,6 +1,8 @@
 #include "rtl/module.h"
 
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace ctrtl::rtl {
 
@@ -26,7 +28,9 @@ Module::Module(kernel::Scheduler& scheduler, Controller& controller,
   }
   out_ = &scheduler.make_signal<RtValue>(name_ + ".out", RtValue::disc());
   out_driver_ = out_->add_driver(RtValue::disc());
-  pipeline_.assign(config_.latency, RtValue::disc());
+  pipeline_.assign(std::min<std::uint64_t>(config_.latency,
+                                           std::uint64_t{controller.cs_max()} + 1),
+                   RtValue::disc());
 }
 
 kernel::Signal<RtValue>& Module::input(std::size_t index) {
@@ -135,17 +139,14 @@ RtValue Module::advance(std::span<const RtValue> operands, const RtValue& op) {
   if (config_.latency == 0) {
     return evaluate(operands, op);
   }
-  const RtValue out = pipeline_.back();
   // The paper's `if M /= ILLEGAL` guard: once poisoned, the evaluation
   // stage only ever produces ILLEGAL again. In-flight pipeline stages
   // still drain so a multi-stage unit emits its pending valid results
   // before the ILLEGAL reaches the output (for latency 1 this reduces to
   // the paper's behaviour exactly).
   const RtValue next = poisoned_ ? RtValue::illegal() : evaluate(operands, op);
-  for (std::size_t i = pipeline_.size(); i-- > 1;) {
-    pipeline_[i] = pipeline_[i - 1];
-  }
-  pipeline_[0] = next;
+  const RtValue out = std::exchange(pipeline_[oldest_], next);
+  oldest_ = oldest_ + 1 == pipeline_.size() ? 0 : oldest_ + 1;
   if (next.is_illegal()) {
     poisoned_ = true;
   }

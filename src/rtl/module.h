@@ -90,7 +90,10 @@ class Module {
   kernel::Signal<RtValue>* op_ = nullptr;
   kernel::Signal<RtValue>* out_ = nullptr;
   kernel::DriverId out_driver_ = 0;
-  std::vector<RtValue> pipeline_;  // pipeline_[0] newest; size == latency
+  /// A ring of min(latency, cs_max + 1) stages: a run has cs_max `cm`
+  /// steps, so a deeper pipeline would never deliver a value either.
+  std::vector<RtValue> pipeline_;
+  std::size_t oldest_ = 0;  ///< the stage the next `advance` outputs
   std::vector<std::int64_t> scratch_payloads_;
   bool poisoned_ = false;
   bool started_ = false;

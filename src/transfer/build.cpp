@@ -102,12 +102,13 @@ std::map<std::string, unsigned> latency_map(const Design& design) {
 
 namespace {
 
-/// Resource elaboration shared by every build path: registers, buses,
+/// The one elaboration body behind every `build_model`: registers, buses,
 /// constants (including the implicit op-code constants derived from the
-/// design's tuples), inputs, and modules — everything except the TRANS
-/// instances themselves.
-std::unique_ptr<rtl::RtModel> elaborate_resources(const Design& design,
-                                                  rtl::TransferMode mode) {
+/// design's tuples), inputs and modules, then the TRANS `instances` in
+/// stream order — the spawn order, which every mode keeps within a level.
+std::unique_ptr<rtl::RtModel> elaborate(const Design& design,
+                                        std::span<const TransInstance> instances,
+                                        rtl::TransferMode mode) {
   auto model = std::make_unique<rtl::RtModel>(design.cs_max, mode);
   for (const RegisterDecl& reg : design.registers) {
     model->add_register(reg.name, reg.initial.has_value()
@@ -140,27 +141,7 @@ std::unique_ptr<rtl::RtModel> elaborate_resources(const Design& design,
       model->add_constant(name, code);
     }
   }
-  return model;
-}
-
-/// Shared elaboration body: `schedule` is non-null exactly in compiled mode
-/// (lowered by the caller, possibly once for a whole batch of instances).
-std::unique_ptr<rtl::RtModel> elaborate(const Design& design,
-                                        const StaticSchedule* schedule,
-                                        rtl::TransferMode mode) {
-  auto model = elaborate_resources(design, mode);
-  if (schedule != nullptr) {
-    for (const ScheduleLevel& level : schedule->levels) {
-      for (const TransInstance& instance : level.fires) {
-        model->add_transfer(instance.step, instance.phase,
-                            endpoint_signal(*model, instance.source),
-                            endpoint_signal(*model, instance.sink),
-                            instance.name());
-      }
-    }
-    return model;
-  }
-  for (const TransInstance& instance : to_instances(design.transfers)) {
+  for (const TransInstance& instance : instances) {
     model->add_transfer(instance.step, instance.phase,
                         endpoint_signal(*model, instance.source),
                         endpoint_signal(*model, instance.sink), instance.name());
@@ -172,57 +153,24 @@ std::unique_ptr<rtl::RtModel> elaborate(const Design& design,
 
 std::unique_ptr<rtl::RtModel> build_model(const Design& design,
                                           rtl::TransferMode mode) {
-  // Compiled mode elaborates from the statically lowered schedule:
-  // `lower_schedule` validates the design (including the no-cr-fires
-  // restriction) and groups the TRANS instances per (step, phase) level —
-  // the symbolic form of the engine's action tables. Instance declaration
-  // order is preserved within each level, which is all the compiled engine
-  // needs for event-order parity with the process-based modes.
-  if (mode == rtl::TransferMode::kCompiled) {
-    const StaticSchedule schedule = lower_schedule(design);
-    return elaborate(design, &schedule, mode);
-  }
-  common::DiagnosticBag diags;
-  if (!validate(design, diags)) {
-    throw std::invalid_argument("design '" + design.name +
-                                "' does not validate:\n" + diags.to_text());
-  }
-  return elaborate(design, nullptr, mode);
+  return build_model(design, to_instances(design.transfers), mode);
 }
 
 std::unique_ptr<rtl::RtModel> build_model(const Design& design,
                                           std::span<const TransInstance> instances,
                                           rtl::TransferMode mode) {
-  if (mode == rtl::TransferMode::kCompiled) {
-    const StaticSchedule schedule =
-        lower_schedule(design, {instances.begin(), instances.end()});
-    return elaborate(design, &schedule, mode);
-  }
   common::DiagnosticBag diags;
   if (!validate(design, diags)) {
     throw std::invalid_argument("design '" + design.name +
                                 "' does not validate:\n" + diags.to_text());
   }
-  auto model = elaborate_resources(design, mode);
-  for (const TransInstance& instance : instances) {
-    model->add_transfer(instance.step, instance.phase,
-                        endpoint_signal(*model, instance.source),
-                        endpoint_signal(*model, instance.sink), instance.name());
-  }
-  return model;
+  return elaborate(design, instances, mode);
 }
 
 std::unique_ptr<rtl::RtModel> build_model(const CompiledDesign& compiled,
                                           rtl::TransferMode mode) {
-  if (mode == rtl::TransferMode::kCompiled) {
-    return elaborate(compiled.design, &compiled.schedule, mode);
-  }
-  common::DiagnosticBag diags;
-  if (!validate(compiled.design, diags)) {
-    throw std::invalid_argument("design '" + compiled.design.name +
-                                "' does not validate:\n" + diags.to_text());
-  }
-  return elaborate(compiled.design, nullptr, mode);
+  // `CompiledDesign::compile` validated the design and checked the stream.
+  return elaborate(compiled.design, compiled.instances, mode);
 }
 
 }  // namespace ctrtl::transfer

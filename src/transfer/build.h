@@ -17,8 +17,8 @@ namespace ctrtl::transfer {
 /// Throws `std::invalid_argument` (with the full diagnostic text) when the
 /// design does not validate. `mode` selects the transfer execution scheme:
 /// paper-faithful TRANS processes, the indexed dispatcher ablation, or the
-/// compiled static-schedule engine (`rtl::TransferMode::kCompiled`, lowered
-/// through `transfer::lower_schedule` — see transfer/schedule.h).
+/// compiled engine (`rtl::TransferMode::kCompiled`). Every mode receives
+/// the same instances in the same stream order.
 [[nodiscard]] std::unique_ptr<rtl::RtModel> build_model(
     const Design& design,
     rtl::TransferMode mode = rtl::TransferMode::kProcessPerTransfer);
@@ -28,17 +28,16 @@ namespace ctrtl::transfer {
 /// fault-injection path (`fault::apply_plan` transforms the canonical
 /// stream). The op-code constants still derive from the design's tuples, so
 /// op-port instances resolve regardless of how the stream was transformed.
-/// Stream order is the spawn order (and intra-level lowering order in
-/// compiled mode), preserving engine parity for any transformed stream.
+/// Stream order is the spawn order (and the order within a level in every
+/// mode), preserving engine parity for any transformed stream.
 [[nodiscard]] std::unique_ptr<rtl::RtModel> build_model(
     const Design& design, std::span<const TransInstance> instances,
     rtl::TransferMode mode = rtl::TransferMode::kProcessPerTransfer);
 
-/// Elaborates from an already-lowered design: the `StaticSchedule` inside
-/// `compiled` is reused read-only instead of re-running `lower_schedule`, so
-/// batch elaboration of N compiled-mode instances lowers once, not N times
-/// (the schedule is immutable and safely shared across threads). The
-/// non-compiled modes ignore the schedule and elaborate from the tuples.
+/// Elaborates from an already-compiled design: the stream stored in
+/// `compiled.instances` (faulted or not) in every mode, without validating
+/// again — `CompiledDesign::compile` did that once for a whole batch of
+/// instances.
 [[nodiscard]] std::unique_ptr<rtl::RtModel> build_model(
     const CompiledDesign& compiled,
     rtl::TransferMode mode = rtl::TransferMode::kCompiled);

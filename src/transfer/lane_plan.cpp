@@ -6,11 +6,12 @@
 #include "rtl/controller.h"
 #include "transfer/design.h"
 #include "transfer/mapping.h"
-#include "transfer/schedule.h"
+#include "transfer/walk.h"
 
 namespace ctrtl::transfer {
 
-LanePlan lower_lane_plan(const Design& design, const StaticSchedule& schedule) {
+LanePlan lower_lane_plan(const Design& design,
+                         std::span<const TransInstance> instances) {
   using rtl::RtValue;
   LanePlan plan;
 
@@ -124,9 +125,9 @@ LanePlan lower_lane_plan(const Design& design, const StaticSchedule& schedule) {
   }
 
   // --- per-cycle lists, built in ordinal order straight into the flat
-  // arrays. Cycle d fires level d-1 of the schedule. Its update list is the
-  // event kernel's pending order after cycle d-1, statically derived, less
-  // the entries that cannot change a lane's state:
+  // arrays. Cycle d fires the instances of its own (step, phase) level. Its
+  // update list is the event kernel's pending order after cycle d-1,
+  // statically derived, less the entries that cannot change a lane's state:
   //   - the outputs of the modules stepped at a `cm` cycle d-1;
   //   - the sinks fired at d-1, each with the range of drivers fired into
   //     it (drivers fired earlier were released by now);
@@ -147,6 +148,7 @@ LanePlan lower_lane_plan(const Design& design, const StaticSchedule& schedule) {
   // Register preloads stay materialized as (dirty-gated) register-out
   // entries, like any other latch.
   const unsigned cs_max = design.cs_max;
+  const InstanceWalker walker(instances, cs_max);
   plan.wheel_cycles = static_cast<std::uint64_t>(cs_max) * rtl::kPhasesPerStep;
   plan.cycles.resize(plan.wheel_cycles + 2);  // [0] unused; last = trailing
   std::unordered_map<std::uint32_t, std::uint32_t> slot_of;
@@ -231,10 +233,10 @@ LanePlan lower_lane_plan(const Design& design, const StaticSchedule& schedule) {
       continue;
     }
 
-    // Fires: level d-1 of the schedule, in stream order, each with its own
-    // driver row on its sink's slot.
-    for (const TransInstance& instance : schedule.levels[d - 1].fires) {
-      const std::uint32_t sink = signal_of(instance.sink);
+    // Fires: this cycle's level, in stream order, each with its own driver
+    // row on its sink's slot.
+    for (const TransInstance* instance : walker.fires(step, phase)) {
+      const std::uint32_t sink = signal_of(instance->sink);
       const auto [it, inserted] = slot_of.try_emplace(
           sink, static_cast<std::uint32_t>(plan.slots.size()));
       if (inserted) {
@@ -242,7 +244,7 @@ LanePlan lower_lane_plan(const Design& design, const StaticSchedule& schedule) {
       }
       const std::uint32_t driver = plan.slots[it->second].drivers++;
       plan.fires.push_back(
-          LanePlan::Fire{it->second, driver, signal_of(instance.source)});
+          LanePlan::Fire{it->second, driver, signal_of(instance->source)});
     }
 
     // Module steps and latches, from what the previous cycle drove: a port

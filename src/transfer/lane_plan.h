@@ -13,7 +13,7 @@
 namespace ctrtl::transfer {
 
 struct Design;
-struct StaticSchedule;
+struct TransInstance;
 
 /// The lane engine's action tables for one design: the signal table, the
 /// sink slots with their statically assigned drivers, and for every delta
@@ -166,14 +166,16 @@ struct LanePlan {
   }
 };
 
-/// Lowers a design and its static schedule into the lane plan: identical
-/// slot/driver assignment and fire placement to `rtl::CompiledEngine`
-/// (level order == `RtModel` add order, so the per-lane conflict order
-/// matches the per-instance engines exactly) and the event kernel's pending
-/// order as static update lists, less the entries that cannot change a
-/// lane's state. Throws `std::invalid_argument` for an operation endpoint
+/// Lowers a design and its TRANS instance stream into the lane plan. The
+/// levels come from `InstanceWalker`: a cycle fires its level's instances
+/// in stream order, the order `rtl::CompiledEngine` and the event kernel
+/// fire them in, so the per-lane conflict order matches the per-instance
+/// engines exactly. Update lists follow the event kernel's pending order,
+/// less the entries that cannot change a lane's state. Expects every
+/// instance inside 1..cs_max and none at `cr` (`CompiledDesign::compile`
+/// checks both). Throws `std::invalid_argument` for an operation endpoint
 /// on a module without an operation port.
 [[nodiscard]] LanePlan lower_lane_plan(const Design& design,
-                                       const StaticSchedule& schedule);
+                                       std::span<const TransInstance> instances);
 
 }  // namespace ctrtl::transfer

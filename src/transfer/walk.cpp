@@ -1,21 +1,35 @@
 #include "transfer/walk.h"
 
+#include <algorithm>
+#include <cstdint>
+
 namespace ctrtl::transfer {
+
+namespace {
+
+std::uint64_t level_of(unsigned step, rtl::Phase phase) {
+  return (std::uint64_t{step} - 1) * rtl::kPhasesPerStep +
+         static_cast<std::uint64_t>(rtl::phase_index(phase));
+}
+
+std::uint64_t level_of(const TransInstance* instance) {
+  return level_of(instance->step, instance->phase);
+}
+
+}  // namespace
 
 InstanceWalker::InstanceWalker(std::span<const TransInstance> instances,
                                unsigned cs_max)
     : cs_max_(cs_max) {
-  levels_.resize(static_cast<std::size_t>(cs_max) * rtl::kPhasesPerStep);
+  by_level_.reserve(instances.size());
   for (const TransInstance& instance : instances) {
-    if (instance.step == 0 || instance.step > cs_max) {
-      continue;
+    if (instance.step != 0 && instance.step <= cs_max) {
+      by_level_.push_back(&instance);
     }
-    const std::size_t level =
-        static_cast<std::size_t>(instance.step - 1) * rtl::kPhasesPerStep +
-        static_cast<std::size_t>(rtl::phase_index(instance.phase));
-    levels_[level].push_back(&instance);
-    ++instance_count_;
   }
+  std::ranges::stable_sort(by_level_, {}, [](const TransInstance* instance) {
+    return level_of(instance);
+  });
 }
 
 std::span<const TransInstance* const> InstanceWalker::fires(
@@ -23,22 +37,10 @@ std::span<const TransInstance* const> InstanceWalker::fires(
   if (step == 0 || step > cs_max_) {
     return {};
   }
-  const std::size_t level =
-      static_cast<std::size_t>(step - 1) * rtl::kPhasesPerStep +
-      static_cast<std::size_t>(rtl::phase_index(phase));
-  return levels_[level];
-}
-
-void InstanceWalker::for_each_level(
-    const std::function<void(unsigned, rtl::Phase,
-                             std::span<const TransInstance* const>)>& visit)
-    const {
-  for (unsigned step = 1; step <= cs_max_; ++step) {
-    for (int index = 0; index < rtl::kPhasesPerStep; ++index) {
-      const rtl::Phase phase = rtl::phase_from_index(index);
-      visit(step, phase, fires(step, phase));
-    }
-  }
+  const auto [first, last] = std::ranges::equal_range(
+      by_level_, level_of(step, phase), {},
+      [](const TransInstance* instance) { return level_of(instance); });
+  return {first, last};
 }
 
 }  // namespace ctrtl::transfer

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <cstddef>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -9,46 +7,31 @@
 
 namespace ctrtl::transfer {
 
-/// Read-only introspection over a TRANS instance stream, grouped onto the
-/// phase wheel: for every level `(step, phase)` of a cs_max-step run, the
-/// instances that *fire* (drive source -> sink) at that level, in stream
-/// order. This is the levelization `lower_schedule` performs, exposed as a
-/// lightweight non-owning view so analyses — the conflict oracle, static
-/// lint passes, the reference evaluator — can walk the exact execution
-/// structure every engine realizes without lowering a full `StaticSchedule`
-/// (no module ordering, no occupancy, no validation side effects).
+/// Read-only view of a TRANS instance stream grouped onto the phase wheel:
+/// for every level `(step, phase)` of a cs_max-step run, the instances that
+/// *fire* (drive source -> sink) at that level, in stream order. A fire's
+/// level is syntactically known (`(step-1)*6 + phase`, paper §2.7), so this
+/// is the only levelization the system needs: the lane plan
+/// (`lower_lane_plan`), the reference semantics and the conflict oracle all
+/// walk the exact execution structure every engine realizes through it.
 ///
-/// Instances outside 1..cs_max are ignored (they never fire on any engine
-/// within the run window); `lower_schedule` is where out-of-range streams
-/// are rejected with diagnostics.
+/// Non-owning: it keeps one pointer per instance, stable-sorted by level,
+/// so its memory follows the instance count, not cs_max. Instances outside
+/// 1..cs_max are ignored (they never fire on any engine within the run
+/// window); `CompiledDesign::compile` and `rtl::RtModel::add_transfer` are
+/// where out-of-range streams are rejected.
 class InstanceWalker {
  public:
   InstanceWalker(std::span<const TransInstance> instances, unsigned cs_max);
-
-  [[nodiscard]] unsigned cs_max() const { return cs_max_; }
 
   /// Instances firing at `(step, phase)`, in stream order. Empty span when
   /// the level is idle or out of range.
   [[nodiscard]] std::span<const TransInstance* const> fires(
       unsigned step, rtl::Phase phase) const;
 
-  /// Total instances inside the run window (== sum of all `fires` sizes).
-  [[nodiscard]] std::size_t instance_count() const { return instance_count_; }
-
-  /// Visits every level in execution order — step 1..cs_max, phases ra..cr
-  /// within each step — including idle levels (empty `fires`). This is the
-  /// delta-cycle order all three engines realize, so a walker-driven
-  /// analysis sees sinks resolve in exactly the simulation order.
-  void for_each_level(
-      const std::function<void(unsigned step, rtl::Phase phase,
-                               std::span<const TransInstance* const>)>& visit)
-      const;
-
  private:
   unsigned cs_max_ = 0;
-  std::size_t instance_count_ = 0;
-  /// levels_[(step-1) * kPhasesPerStep + phase], like ScheduleLevel indexing.
-  std::vector<std::vector<const TransInstance*>> levels_;
+  std::vector<const TransInstance*> by_level_;
 };
 
 }  // namespace ctrtl::transfer

@@ -22,8 +22,10 @@ using transfer::TransInstance;
 // The tentpole acceptance property: for >= 30 seeded random designs and every
 // fault kind, the faulted instance stream must drive the event kernel, the
 // compiled engine, and the lane engine to identical registers, ordered
-// conflicts, counters, and event traces. Fault sites are derived from the
-// design's own instance stream, so every plan is guaranteed to hit.
+// conflicts, counters, and event traces — also when the per-instance models
+// are elaborated from the compiled design, as a BatchRunner does. Fault
+// sites are derived from the design's own instance stream, so every plan is
+// guaranteed to hit.
 
 class FaultSweepTest : public ::testing::TestWithParam<std::uint32_t> {};
 
@@ -84,6 +86,23 @@ TEST_P(FaultSweepTest, AllEnginesAgreeUnderEveryFaultKind) {
     EXPECT_TRUE(report.consistent())
         << "seed " << GetParam() << ", plan:\n"
         << to_text(plan) << report.to_text();
+
+    // The per-instance models a BatchRunner elaborates from the compiled
+    // design must run the faulted stream too, in every transfer mode.
+    auto event_model = build_model(*faulted);
+    const rtl::InstanceResult event = rtl::run_instance(*event_model);
+    const auto compiled = compile(*faulted);
+    for (const rtl::TransferMode mode :
+         {rtl::TransferMode::kProcessPerTransfer, rtl::TransferMode::kDispatch,
+          rtl::TransferMode::kCompiled}) {
+      const rtl::BatchRunResult batch =
+          rtl::BatchRunner(compiled, {.workers = 1, .mode = mode}).run(1);
+      ASSERT_EQ(batch.instances.size(), 1u);
+      EXPECT_EQ(batch.instances[0], event)
+          << "seed " << GetParam() << ", mode " << static_cast<int>(mode)
+          << ", plan:\n"
+          << to_text(plan);
+    }
   }
 }
 

@@ -131,6 +131,31 @@ TEST(Module, PipelinedBackToBackOperands) {
   EXPECT_EQ(samples, (std::vector<std::string>{"DISC", "3", "30", "300"}));
 }
 
+TEST(Module, ThreeStagePipelineKeepsOperandOrder) {
+  Fixture f(6);
+  FixedFunctionModule add(f.sched, f.ctl, "ADD3", 2, 3, add_fn_result);
+  add.start(f.sched);
+  f.feed(add, 1, f.constant("a1", 1), f.constant("b1", 2));
+  f.feed(add, 2, f.constant("a2", 10), f.constant("b2", 20));
+  f.feed(add, 3, f.constant("a3", 100), f.constant("b3", 200));
+  const auto samples = f.run_and_sample_out(add);
+  EXPECT_EQ(samples, (std::vector<std::string>{"DISC", "DISC", "DISC", "3",
+                                               "30", "300"}));
+}
+
+TEST(Module, PipelineDeeperThanTheRunKeepsCsMaxPlusOneStages) {
+  // A run has cs_max `cm` steps, so nothing leaves a pipeline deeper than
+  // cs_max + 1 stages: a declared latency of four billion costs no more
+  // than that and still shows DISC for the whole run.
+  Fixture f(3);
+  FixedFunctionModule add(f.sched, f.ctl, "SLOW", 2, 4000000000u, add_fn_result);
+  add.start(f.sched);
+  f.feed(add, 1, f.constant("c30", 30), f.constant("c12", 12));
+  const auto samples = f.run_and_sample_out(add);
+  EXPECT_EQ(samples, (std::vector<std::string>{"DISC", "DISC", "DISC"}));
+  EXPECT_EQ(add.config().latency, 4000000000u);
+}
+
 TEST(Module, InputPortValidation) {
   Fixture f(1);
   FixedFunctionModule add(f.sched, f.ctl, "ADD", 2, 1, add_fn_result);

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "transfer/mapping.h"
+#include "transfer/walk.h"
+
 namespace ctrtl::transfer {
 namespace {
 
@@ -17,29 +22,39 @@ Design fig1_design() {
   return d;
 }
 
-TEST(StaticSchedule, Fig1LowersToSixInstancesInFourLevels) {
-  const StaticSchedule schedule = lower_schedule(fig1_design());
-  EXPECT_EQ(schedule.cs_max, 7u);
-  ASSERT_EQ(schedule.levels.size(), 42u);
-  EXPECT_EQ(schedule.occupancy.instances, 6u);
-  EXPECT_EQ(schedule.occupancy.occupied_levels, 4u);  // (5,ra) (5,rb) (6,wa) (6,wb)
-  EXPECT_EQ(schedule.occupancy.busiest_level, 2u);    // two ra fires, two rb fires
+TEST(InstanceWalker, Fig1LevelsSixInstancesIntoFourLevels) {
+  const auto compiled = CompiledDesign::compile(fig1_design());
+  ASSERT_EQ(compiled->instances.size(), 6u);
+  const InstanceWalker walker(compiled->instances, compiled->design.cs_max);
 
-  const ScheduleLevel* ra = schedule.level(5, rtl::Phase::kRa);
-  ASSERT_NE(ra, nullptr);
-  ASSERT_EQ(ra->fires.size(), 2u);
-  EXPECT_EQ(ra->fires[0].source, Endpoint::register_out("R1"));
-  EXPECT_EQ(ra->fires[0].sink, Endpoint::bus("B1"));
-  EXPECT_EQ(ra->fires[1].source, Endpoint::register_out("R2"));
+  std::size_t instances = 0;
+  std::size_t occupied = 0;
+  std::size_t busiest = 0;
+  for (unsigned step = 1; step <= 7; ++step) {
+    for (int index = 0; index < rtl::kPhasesPerStep; ++index) {
+      const std::size_t fires =
+          walker.fires(step, rtl::phase_from_index(index)).size();
+      instances += fires;
+      occupied += fires > 0 ? 1 : 0;
+      busiest = std::max(busiest, fires);
+    }
+  }
+  EXPECT_EQ(instances, 6u);
+  EXPECT_EQ(occupied, 4u);  // (5,ra) (5,rb) (6,wa) (6,wb)
+  EXPECT_EQ(busiest, 2u);   // two ra fires, two rb fires
 
-  const ScheduleLevel* cm = schedule.level(5, rtl::Phase::kCm);
-  ASSERT_NE(cm, nullptr);
-  EXPECT_TRUE(cm->fires.empty());
-  EXPECT_EQ(schedule.level(8, rtl::Phase::kRa), nullptr);
-  EXPECT_EQ(schedule.level(0, rtl::Phase::kRa), nullptr);
+  const auto ra = walker.fires(5, rtl::Phase::kRa);
+  ASSERT_EQ(ra.size(), 2u);
+  EXPECT_EQ(ra[0]->source, Endpoint::register_out("R1"));
+  EXPECT_EQ(ra[0]->sink, Endpoint::bus("B1"));
+  EXPECT_EQ(ra[1]->source, Endpoint::register_out("R2"));
+
+  EXPECT_TRUE(walker.fires(5, rtl::Phase::kCm).empty());
+  EXPECT_TRUE(walker.fires(8, rtl::Phase::kRa).empty());
+  EXPECT_TRUE(walker.fires(0, rtl::Phase::kRa).empty());
 }
 
-TEST(StaticSchedule, LevelsPreserveDeclarationOrderWithinASlot) {
+TEST(InstanceWalker, LevelsPreserveStreamOrderWithinASlot) {
   Design d = fig1_design();
   // A second tuple sharing (5, ra): its fires must come after the first
   // tuple's within the same level.
@@ -48,62 +63,57 @@ TEST(StaticSchedule, LevelsPreserveDeclarationOrderWithinASlot) {
   d.modules.push_back({"ADD2", ModuleKind::kAdd, 1});
   d.transfers.push_back(
       RegisterTransfer::full("R3", "B3", "R2", "B2", 5, "ADD2", 6, "B3", "R3"));
-  // Conflicts on B2/ADD-operand sharing are irrelevant here; only lowering
-  // order matters.
-  const StaticSchedule schedule = lower_schedule(d);
-  const ScheduleLevel* ra = schedule.level(5, rtl::Phase::kRa);
-  ASSERT_NE(ra, nullptr);
-  ASSERT_EQ(ra->fires.size(), 4u);
-  EXPECT_EQ(ra->fires[0].source, Endpoint::register_out("R1"));
-  EXPECT_EQ(ra->fires[2].source, Endpoint::register_out("R3"));
+  // Conflicts on B2/ADD-operand sharing are irrelevant here; only the
+  // order within a level matters.
+  const auto compiled = CompiledDesign::compile(d);
+  const InstanceWalker walker(compiled->instances, d.cs_max);
+  const auto ra = walker.fires(5, rtl::Phase::kRa);
+  ASSERT_EQ(ra.size(), 4u);
+  EXPECT_EQ(ra[0]->source, Endpoint::register_out("R1"));
+  EXPECT_EQ(ra[2]->source, Endpoint::register_out("R3"));
 }
 
-TEST(StaticSchedule, ModuleOrderFollowsDataDependencies) {
-  // B consumes A's destination register: A must precede B even though B is
-  // declared first.
-  Design d;
-  d.cs_max = 6;
-  d.registers = {{"RA", 1}, {"RB", 2}, {"RMID", std::nullopt}, {"ROUT", std::nullopt}};
-  d.buses = {{"B1"}, {"B2"}};
-  d.modules = {{"LATE", ModuleKind::kAdd, 1}, {"EARLY", ModuleKind::kAdd, 1}};
-  d.transfers = {
-      RegisterTransfer::full("RA", "B1", "RB", "B2", 1, "EARLY", 2, "B1", "RMID"),
-      RegisterTransfer::full("RMID", "B1", "RB", "B2", 3, "LATE", 4, "B1", "ROUT"),
-  };
-  const StaticSchedule schedule = lower_schedule(d);
-  ASSERT_EQ(schedule.module_order.size(), 2u);
-  EXPECT_EQ(schedule.module_order[0], "EARLY");
-  EXPECT_EQ(schedule.module_order[1], "LATE");
-}
-
-TEST(StaticSchedule, RegisterFeedbackCycleFallsBackToDeclarationOrder) {
-  // An accumulator feeding itself: the dependency graph has a self-loop via
-  // the register; levelization must still terminate and emit the module.
-  Design d;
-  d.cs_max = 6;
-  d.registers = {{"ACC", 0}, {"RB", 2}};
-  d.buses = {{"B1"}, {"B2"}};
-  d.modules = {{"ADD", ModuleKind::kAdd, 1}};
-  d.transfers = {
-      RegisterTransfer::full("ACC", "B1", "RB", "B2", 1, "ADD", 2, "B1", "ACC"),
-  };
-  const StaticSchedule schedule = lower_schedule(d);
-  ASSERT_EQ(schedule.module_order.size(), 1u);
-  EXPECT_EQ(schedule.module_order[0], "ADD");
-}
-
-TEST(StaticSchedule, InvalidDesignRejected) {
+TEST(CompiledDesign, InvalidDesignRejected) {
   Design d = fig1_design();
   d.transfers[0].read_step = 9;  // outside 1..cs_max window for write at 6
-  EXPECT_THROW((void)lower_schedule(d), std::invalid_argument);
+  EXPECT_THROW((void)CompiledDesign::compile(d), std::invalid_argument);
 }
 
-TEST(StaticSchedule, TextRenderingMentionsLevelsAndOccupancy) {
-  const std::string text = to_text(lower_schedule(fig1_design()));
-  EXPECT_NE(text.find("step 5 ra"), std::string::npos) << text;
-  EXPECT_NE(text.find("R1.out -> B1"), std::string::npos) << text;
-  EXPECT_NE(text.find("module order: ADD"), std::string::npos) << text;
-  EXPECT_NE(text.find("6 instances"), std::string::npos) << text;
+/// fig1's own stream plus one instance driving R2.out onto B2 at
+/// (`step`, `phase`).
+std::vector<TransInstance> fig1_stream_with(unsigned step, rtl::Phase phase) {
+  std::vector<TransInstance> instances =
+      to_instances(fig1_design().transfers);
+  TransInstance extra = instances[1];
+  extra.step = step;
+  extra.phase = phase;
+  instances.push_back(extra);
+  return instances;
+}
+
+TEST(CompiledDesign, StreamStepZeroRejected) {
+  EXPECT_THROW((void)CompiledDesign::compile(
+                   fig1_design(), fig1_stream_with(0, rtl::Phase::kRa)),
+               std::invalid_argument);
+}
+
+TEST(CompiledDesign, StreamStepPastCsMaxRejected) {
+  EXPECT_THROW((void)CompiledDesign::compile(
+                   fig1_design(), fig1_stream_with(8, rtl::Phase::kRa)),
+               std::invalid_argument);
+}
+
+TEST(CompiledDesign, StreamCrFireRejected) {
+  EXPECT_THROW((void)CompiledDesign::compile(
+                   fig1_design(), fig1_stream_with(3, rtl::Phase::kCr)),
+               std::invalid_argument);
+}
+
+TEST(CompiledDesign, KeepsTheStreamItLowered) {
+  const std::vector<TransInstance> stream =
+      fig1_stream_with(7, rtl::Phase::kRa);
+  const auto compiled = CompiledDesign::compile(fig1_design(), stream);
+  EXPECT_EQ(compiled->instances, stream);
 }
 
 }  // namespace

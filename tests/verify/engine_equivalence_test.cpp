@@ -428,14 +428,14 @@ TEST(LaneEngine, BatchRunnersShareTheCompiledPlan) {
 }
 
 TEST(LaneEngine, SharedScheduleLoweredOnce) {
-  // CompiledDesign lowers at compile() time; both the lane engine and any
-  // number of per-instance elaborations reuse the same immutable tables.
+  // CompiledDesign lowers at compile() time; the lane engine reuses its
+  // plan and any number of per-instance elaborations reuse its stream.
   const auto design = transfer::CompiledDesign::compile(fig1_design());
-  EXPECT_EQ(design->schedule.cs_max, 7u);
-  EXPECT_EQ(design->schedule.occupancy.instances, 6u);
+  EXPECT_EQ(design->design.cs_max, 7u);
+  EXPECT_EQ(design->instances.size(), 6u);
   const rtl::LaneEngine engine(design);
   EXPECT_EQ(&engine.compiled(), design.get());
-  auto model = transfer::build_model(*design);  // shares design->schedule
+  auto model = transfer::build_model(*design);  // elaborates design->instances
   const rtl::InstanceResult reference = rtl::run_instance(*model);
   const std::vector<rtl::InstanceResult> lane =
       engine.run_block(0, 1, nullptr);

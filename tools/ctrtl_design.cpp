@@ -184,7 +184,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (batch > 0 && (dispatch || (engine_set && engine == "event"))) {
-    // The lane engine executes the compiled shared schedule; there is no
+    // The lane engine executes the compiled shared plan; there is no
     // batched variant of the event kernel in this tool.
     std::fprintf(stderr, "--batch runs the compiled lane engine; it is not "
                  "available with --engine=event or --dispatch\n");
@@ -294,7 +294,7 @@ int main(int argc, char** argv) {
   }
 
   if (batch > 0) {
-    // Lane-engine batch: lower the schedule once, run `batch` instances as
+    // Lane-engine batch: lower the design once, run `batch` instances as
     // structure-of-arrays lanes sharded across `workers` threads. The --set
     // inputs apply to every instance.
     ctrtl::rtl::BatchInputProvider provider;
