@@ -122,19 +122,15 @@ class Scheduler {
   void shutdown();
 
   // --- external-engine interface -------------------------------------------
-  // A compiled engine (rtl::CompiledEngine) executes signal updates directly
-  // instead of through the event loop. These hooks keep the scheduler's
-  // statistics and event observers coherent with what an equivalent
-  // event-driven run would have reported, so downstream consumers
+  // A kCompiled model's lane (rtl::LaneEngine::model_run) executes signal
+  // updates directly instead of through the event loop. These hooks keep the
+  // scheduler's statistics and event observers coherent with what an
+  // equivalent event-driven run would have reported, so downstream consumers
   // (BatchRunner stats comparison, trace/VCD observers) see one interface.
 
   /// Mutable statistics for an external engine to account its delta cycles,
   /// updates, events, and transactions against.
   [[nodiscard]] KernelStats& external_stats() { return stats_; }
-
-  /// True when at least one event observer is attached (lets compiled
-  /// engines skip observer dispatch entirely on the hot path).
-  [[nodiscard]] bool has_event_observers() const { return !observers_.empty(); }
 
   /// Invokes every attached observer for an externally produced event and
   /// counts the observer calls. The caller accounts the event itself.

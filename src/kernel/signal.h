@@ -38,6 +38,10 @@ class SignalBase {
   /// Human-readable rendering of the current effective value (for traces).
   [[nodiscard]] virtual std::string debug_value() const = 0;
 
+  /// True while a transaction waits for the next update phase, where the
+  /// signal counts an update whether or not its value changes.
+  [[nodiscard]] bool active() const { return pending_active_; }
+
   // Kernel-internal (used by the wait awaitables and the scheduler): waiter
   // list management for suspended processes.
   void add_waiter(ProcessState* process);
@@ -170,9 +174,9 @@ class Signal final : public SignalBase {
   }
 
   /// External-engine interface: replaces the effective value directly,
-  /// bypassing drivers and the update phase. Compiled engines
-  /// (rtl::CompiledEngine) perform their own incremental resolution and
-  /// publish the result here; the event-driven path never calls this.
+  /// bypassing drivers and the update phase. A kCompiled model's lane
+  /// (rtl::LaneEngine::model_run) resolves on its own and publishes the
+  /// result here; the event-driven path never calls this.
   /// Returns true when the value changed — i.e. when the write is a VHDL
   /// *event* the caller must account for (stats, observers).
   bool set_effective(T value) {

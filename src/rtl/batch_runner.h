@@ -57,8 +57,9 @@ struct BatchRunOptions {
   std::size_t lane_block = 16;
   /// Transfer mode for per-instance models elaborated from a
   /// `CompiledDesign` (ignored by the factory constructor and by
-  /// `kCompiledLanes`, which is compiled by construction).
-  TransferMode mode = TransferMode::kCompiled;
+  /// `kCompiledLanes`, which is compiled by construction). The default runs
+  /// the event kernel, independent of the plan the lanes execute.
+  TransferMode mode = TransferMode::kDispatch;
   /// Cooperative cancellation poll. When set, the runner invokes it before
   /// starting each work unit (a lane block under `kCompiledLanes`, one
   /// instance under `kPerInstance`); once it returns true, every unit not

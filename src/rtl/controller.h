@@ -22,8 +22,8 @@ class Controller {
   using PhaseSignal = kernel::Signal<Phase>;
 
   /// `spawn_process == false` creates the CS/PH signals without the driving
-  /// process — used by the compiled engine, which advances the phase wheel
-  /// itself (rtl::CompiledEngine).
+  /// process — used in kCompiled mode, where the model's lane advances the
+  /// phase wheel itself (rtl::LaneEngine::model_run).
   Controller(kernel::Scheduler& scheduler, unsigned cs_max,
              std::string name = "CONTROL", bool spawn_process = true);
 

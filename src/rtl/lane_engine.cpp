@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -58,6 +59,12 @@ struct Planes {
   }
 };
 
+/// `run_block`'s publisher: lane values stay in the planes.
+struct NoPublish {
+  void value(std::uint32_t /*signal*/, std::uint64_t /*ordinal*/) {}
+  void control(std::uint64_t /*ordinal*/) {}
+};
+
 /// Whether a module kind runs as a per-block kernel; the op-port kinds (ALU,
 /// MACC, CORDIC) keep one `transfer::ModuleSim` per lane.
 bool has_kernel(transfer::ModuleKind kind) {
@@ -105,11 +112,21 @@ struct LaneEngine::LaneBlock {
   std::vector<std::uint8_t> turned_illegal;  ///< lanes: one sink kernel's mask
 
   // Lane-varying counter parts; the lane-uniform parts accumulate as
-  // scalars in run_block and are added once at collection time.
+  // scalars and are added at collection time (`lane_stats`).
   std::vector<std::uint64_t> lane_updates;
   std::vector<std::uint64_t> lane_events;
   std::vector<std::uint64_t> lane_transactions;
+  std::vector<std::uint64_t> touched_inputs;  ///< updates once cycle 1 ran
   std::vector<std::vector<Conflict>> conflicts;
+
+  // Run position, shared by every lane: `advance` resumes here.
+  std::uint64_t cursor = 1;  ///< next ordinal; wheel + 2 once finished
+  std::uint64_t uniform_updates = 0;
+  std::uint64_t uniform_events = 0;
+  std::uint64_t uniform_transactions = 0;
+  std::vector<std::uint8_t> trailed;  ///< lanes that ran the trailing cycle
+  std::vector<std::uint8_t> tripped;  ///< lanes the last `advance` tripped
+  std::uint64_t trip_ordinal = 0;
 
   /// Drives contribution row `row` with the values of signal `source`.
   void fire(std::size_t row, std::uint32_t source) {
@@ -266,7 +283,9 @@ LaneEngine::LaneEngine(std::shared_ptr<const transfer::CompiledDesign> compiled)
   }
 }
 
-void LaneEngine::execute_cycle(std::uint64_t ordinal, LaneBlock& block) const {
+template <typename Publish>
+void LaneEngine::execute_cycle(std::uint64_t ordinal, LaneBlock& block,
+                               Publish& publish) const {
   using Update = transfer::LanePlan::Update;
   const transfer::LanePlan& tables = compiled_->plan;
   const transfer::LanePlan::Cycle& plan = tables.cycles[ordinal];
@@ -302,7 +321,12 @@ void LaneEngine::execute_cycle(std::uint64_t ordinal, LaneBlock& block) const {
     }
   };
 
-  // --- update phase --------------------------------------------------------
+  // --- update phase: the plan's entries, then CS/PH (before the preloads
+  // in cycle 1, when the controller's initial drives apply) ---------------
+  const bool in_wheel = ordinal <= tables.wheel_cycles;
+  if (ordinal == 1 && in_wheel) {
+    publish.control(ordinal);
+  }
   for (const Update& entry : tables.updates_at(ordinal)) {
     switch (entry.kind) {
       case Update::Kind::kSink: {
@@ -316,25 +340,32 @@ void LaneEngine::execute_cycle(std::uint64_t ordinal, LaneBlock& block) const {
             }
           }
         }
+        publish.value(slot.signal, ordinal);
         break;
       }
       case Update::Kind::kModuleOut:
         apply_pending(tables.modules[entry.index].out, block.module_pending,
                       entry.index, nullptr);
+        publish.value(tables.modules[entry.index].out, ordinal);
         break;
       case Update::Kind::kRegisterOut:
         apply_pending(tables.registers[entry.index].out, block.reg_pending,
                       entry.index,
                       block.reg_dirty.data() +
                           static_cast<std::size_t>(entry.index) * lanes);
+        publish.value(tables.registers[entry.index].out, ordinal);
         break;
     }
   }
 
-  // --- execution phase (the trailing cycle only applies updates) -----------
-  if (ordinal > tables.wheel_cycles) {
-    return;
+  if (!in_wheel) {
+    return;  // the trailing cycle only applies updates
   }
+  if (ordinal > 1) {
+    publish.control(ordinal);
+  }
+
+  // --- execution phase -----------------------------------------------------
   for (const transfer::LanePlan::Fire& fire : tables.fires_at(ordinal)) {
     block.fire(tables.slots[fire.slot].contrib_base + fire.driver, fire.source);
   }
@@ -389,15 +420,9 @@ void LaneEngine::execute_cycle(std::uint64_t ordinal, LaneBlock& block) const {
   }
 }
 
-std::vector<InstanceResult> LaneEngine::run_block(
+LaneEngine::LaneBlock LaneEngine::start_block(
     std::size_t first_instance, std::size_t lanes, const InputProvider& inputs,
-    std::uint64_t max_cycles, std::uint64_t max_delta_cycles) const {
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<InstanceResult> results(lanes);
-  if (lanes == 0) {
-    return results;
-  }
-
+    std::vector<std::pair<std::size_t, std::string>>& input_failures) const {
   const transfer::LanePlan& tables = compiled_->plan;
   const transfer::Design& design = compiled_->design;
   LaneBlock block;
@@ -446,14 +471,15 @@ std::vector<InstanceResult> LaneEngine::run_block(
   block.lane_updates.assign(lanes, 0);
   block.lane_events.assign(lanes, 0);
   block.lane_transactions.assign(lanes, 0);
+  block.touched_inputs.assign(lanes, 0);
   block.conflicts.resize(lanes);
+  block.trailed.assign(lanes, 0);
+  block.tripped.assign(lanes, 0);
 
   // --- per-lane inputs: publish now, count the first touches at cycle 1 ----
   // A provider that throws, or names an input the design lacks, fails its
   // lane alone: the lane still runs with the block (lanes never interact)
   // but reports only the error.
-  std::vector<std::uint64_t> touched_inputs(lanes, 0);
-  std::vector<std::pair<std::size_t, std::string>> input_failures;
   if (inputs) {
     std::vector<std::uint32_t> touched;
     for (std::size_t lane = 0; lane < lanes; ++lane) {
@@ -473,7 +499,7 @@ std::vector<InstanceResult> LaneEngine::run_block(
       } catch (const std::exception& error) {
         input_failures.emplace_back(lane, error.what());
       }
-      touched_inputs[lane] = touched.size();
+      block.touched_inputs[lane] = touched.size();
     }
   }
 
@@ -487,100 +513,124 @@ std::vector<InstanceResult> LaneEngine::run_block(
     std::fill_n(block.reg_dirty.data() + static_cast<std::size_t>(reg) * lanes,
                 lanes, std::uint8_t{1});
   }
-  std::uint64_t uniform_updates = 0;
-  std::uint64_t uniform_events = 0;
-  std::uint64_t uniform_transactions = tables.init_transactions;
+  block.uniform_transactions = tables.init_transactions;
+  return block;
+}
 
-  std::uint64_t executed = 0;
-  std::uint64_t cursor = 1;
-  // Watchdog bookkeeping: `executed` matches the event scheduler's
-  // now().delta and the compiled engine's cursor_ - 1, so the trip point —
-  // executing the next cycle would exceed the bound while work remains —
-  // lands on the same ordinal on all three engines. The max_cycles bound is
-  // checked first (silent cap wins when the two coincide), and a mid-wheel
-  // trip hits every lane: controller work is pending for all of them.
-  bool tripped_wheel = false;
-  std::uint64_t trip_ordinal = 0;
+template <typename Publish>
+void LaneEngine::advance(LaneBlock& block, std::uint64_t max_cycles,
+                         std::uint64_t max_delta_cycles, Publish& publish) const {
+  const transfer::LanePlan& tables = compiled_->plan;
   const std::uint64_t wheel_cycles = tables.wheel_cycles;
-  while (executed < max_cycles && cursor <= wheel_cycles) {
-    if (executed >= max_delta_cycles) {
-      tripped_wheel = true;
-      trip_ordinal = cursor;
-      break;
+  const std::size_t lanes = block.lanes;
+  std::fill(block.tripped.begin(), block.tripped.end(), std::uint8_t{0});
+
+  // Watchdog bookkeeping: `cursor - 1` cycles have run in total, matching
+  // the event scheduler's now().delta, so the trip point — executing the
+  // next cycle would exceed the bound while work remains — lands on the
+  // same ordinal as on the event kernel. The max_cycles bound is checked
+  // first (silent cap wins when the two coincide), and a mid-wheel trip
+  // hits every lane: controller work is pending for all of them.
+  std::uint64_t executed = 0;
+  while (executed < max_cycles && block.cursor <= wheel_cycles) {
+    if (block.cursor - 1 >= max_delta_cycles) {
+      std::fill(block.tripped.begin(), block.tripped.end(), std::uint8_t{1});
+      block.trip_ordinal = block.cursor;
+      return;
     }
-    execute_cycle(cursor, block);
-    const transfer::LanePlan::Cycle& cycle = tables.cycles[cursor];
-    uniform_updates += cycle.uniform_updates;
-    uniform_events += cycle.uniform_events;
-    uniform_transactions += cycle.uniform_transactions;
-    ++cursor;
+    execute_cycle(block.cursor, block, publish);
+    const transfer::LanePlan::Cycle& cycle = tables.cycles[block.cursor];
+    block.uniform_updates += cycle.uniform_updates;
+    block.uniform_events += cycle.uniform_events;
+    block.uniform_transactions += cycle.uniform_transactions;
+    ++block.cursor;
     ++executed;
   }
-  const bool ran_first_cycle = executed > 0;
+  if (executed >= max_cycles || block.cursor != wheel_cycles + 1) {
+    return;
+  }
 
   // --- trailing cycle: per-lane quiescence ---------------------------------
   // With static updates pending (releases from final-step wb fires) every
   // lane executes it; otherwise only lanes whose final cr latched something.
   std::vector<std::uint8_t> trailing(lanes, 0);
-  std::vector<std::uint8_t> lane_tripped(lanes, 0);
-  if (tripped_wheel) {
-    std::fill(lane_tripped.begin(), lane_tripped.end(),
-              static_cast<std::uint8_t>(1));
+  bool any = false;
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    bool needed = tables.trailing_has_static_updates;
+    for (std::size_t r = 0; !needed && r < tables.registers.size(); ++r) {
+      needed = block.reg_dirty[r * lanes + lane] != 0;
+    }
+    trailing[lane] = needed ? 1 : 0;
+    any = any || needed;
   }
-  if (!tripped_wheel && executed < max_cycles && cursor == wheel_cycles + 1) {
-    bool any = false;
+  if (any && block.cursor - 1 >= max_delta_cycles) {
+    // The trailing cycle would exceed the bound: the lanes that still had
+    // work trip (the event scheduler throws at exactly this point), the
+    // already-quiescent lanes finish clean. The cursor is lane-uniform, so
+    // this split is deterministic.
+    block.trip_ordinal = wheel_cycles + 1;
+    block.tripped = std::move(trailing);
+    return;
+  }
+  if (any) {
+    // Safe over non-participating lanes: their register latches are clean
+    // and sink updates only exist when every lane participates.
+    execute_cycle(wheel_cycles + 1, block, publish);
+    const transfer::LanePlan::Cycle& last = tables.cycles[wheel_cycles + 1];
     for (std::size_t lane = 0; lane < lanes; ++lane) {
-      bool needed = tables.trailing_has_static_updates;
-      for (std::size_t r = 0; !needed && r < tables.registers.size(); ++r) {
-        needed = block.reg_dirty[r * lanes + lane] != 0;
-      }
-      trailing[lane] = needed ? 1 : 0;
-      any = any || needed;
-    }
-    if (any && executed >= max_delta_cycles) {
-      // The trailing cycle would exceed the bound: the lanes that still had
-      // work trip (the event scheduler throws at exactly this point), the
-      // already-quiescent lanes finish clean. `executed` is lane-uniform,
-      // so this split is deterministic.
-      trip_ordinal = wheel_cycles + 1;
-      for (std::size_t lane = 0; lane < lanes; ++lane) {
-        lane_tripped[lane] = trailing[lane];
-        trailing[lane] = 0;
-      }
-    } else if (any) {
-      // Safe over non-participating lanes: their register latches are clean
-      // and sink updates only exist when every lane participates.
-      execute_cycle(wheel_cycles + 1, block);
-      const transfer::LanePlan::Cycle& last = tables.cycles[wheel_cycles + 1];
-      for (std::size_t lane = 0; lane < lanes; ++lane) {
-        if (trailing[lane] != 0) {
-          block.lane_updates[lane] += last.uniform_updates;
-          block.lane_events[lane] += last.uniform_events;
-        }
+      if (trailing[lane] != 0) {
+        block.lane_updates[lane] += last.uniform_updates;
+        block.lane_events[lane] += last.uniform_events;
       }
     }
+    block.trailed = std::move(trailing);
   }
+  block.cursor = wheel_cycles + 2;
+}
+
+kernel::KernelStats LaneEngine::lane_stats(const LaneBlock& block,
+                                           std::size_t lane) const {
+  const std::uint64_t wheel_run =
+      std::min(block.cursor - 1, compiled_->plan.wheel_cycles);
+  kernel::KernelStats stats;
+  stats.delta_cycles = wheel_run + block.trailed[lane];
+  stats.updates = block.uniform_updates + block.lane_updates[lane] +
+                  (wheel_run > 0 ? block.touched_inputs[lane] : 0);
+  stats.events = block.uniform_events + block.lane_events[lane];
+  stats.transactions = block.uniform_transactions + block.lane_transactions[lane];
+  return stats;
+}
+
+std::vector<InstanceResult> LaneEngine::run_block(
+    std::size_t first_instance, std::size_t lanes, const InputProvider& inputs,
+    std::uint64_t max_cycles, std::uint64_t max_delta_cycles) const {
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<InstanceResult> results(lanes);
+  if (lanes == 0) {
+    return results;
+  }
+  std::vector<std::pair<std::size_t, std::string>> input_failures;
+  LaneBlock block = start_block(first_instance, lanes, inputs, input_failures);
+  NoPublish publish;
+  advance(block, max_cycles, max_delta_cycles, publish);
 
   // --- collection ----------------------------------------------------------
+  const transfer::LanePlan& tables = compiled_->plan;
+  const transfer::Design& design = compiled_->design;
   const std::uint64_t elapsed_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - start)
           .count());
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     InstanceResult& result = results[lane];
-    const std::uint64_t lane_cycles = executed + (trailing[lane] != 0 ? 1 : 0);
-    result.cycles = lane_cycles;
-    result.stats.delta_cycles = lane_cycles;
-    result.stats.updates = uniform_updates + block.lane_updates[lane] +
-                           (ran_first_cycle ? touched_inputs[lane] : 0);
-    result.stats.events = uniform_events + block.lane_events[lane];
-    result.stats.transactions = uniform_transactions + block.lane_transactions[lane];
+    result.stats = lane_stats(block, lane);
+    result.cycles = result.stats.delta_cycles;
     result.stats.wall_time_ns = elapsed_ns / lanes;  // amortized block time
     result.conflicts = std::move(block.conflicts[lane]);
-    if (lane_tripped[lane] != 0) {
+    if (block.tripped[lane] != 0) {
       result.report.status = RunStatus::kWatchdogTripped;
       result.report.diagnostics.push_back(
-          watchdog_diagnostic(max_delta_cycles, trip_ordinal));
+          watchdog_diagnostic(max_delta_cycles, block.trip_ordinal));
     }
     result.registers.reserve(tables.registers.size());
     for (std::size_t r = 0; r < tables.registers.size(); ++r) {
@@ -597,6 +647,115 @@ std::vector<InstanceResult> LaneEngine::run_block(
     results[lane] = std::move(failed);
   }
   return results;
+}
+
+RtModel::CompiledRun LaneEngine::model_run(
+    std::shared_ptr<const transfer::CompiledDesign> compiled, RtModel& model) {
+  /// Lane 0 of a one-lane block, publishing its value changes onto the
+  /// model's signals and event observers.
+  struct Lane {
+    Lane(std::shared_ptr<const transfer::CompiledDesign> compiled,
+         RtModel& model)
+        : engine(std::move(compiled)), model(model) {}
+
+    LaneEngine engine;
+    RtModel& model;
+    std::vector<RtSignal*> signals;  ///< value-table index -> model signal
+    std::optional<LaneBlock> block;
+
+    void value(std::uint32_t signal, std::uint64_t ordinal) {
+      if (signals[signal]->set_effective(block->values.get(signal, 0))) {
+        model.scheduler().dispatch_event_observers(*signals[signal],
+                                                   {0, ordinal});
+      }
+    }
+    void control(std::uint64_t ordinal) {
+      const auto [step, phase] = Controller::locate(ordinal);
+      Controller& controller = model.controller();
+      if (controller.cs().set_effective(step)) {
+        model.scheduler().dispatch_event_observers(controller.cs(), {0, ordinal});
+      }
+      if (controller.ph().set_effective(phase)) {
+        model.scheduler().dispatch_event_observers(controller.ph(), {0, ordinal});
+      }
+    }
+  };
+  auto lane = std::make_shared<Lane>(std::move(compiled), model);
+
+  // Registers and modules map by position (`build_model` elaborates them in
+  // declaration order), the other signals by name.
+  const transfer::LanePlan& tables = lane->engine.plan();
+  std::vector<RtSignal*>& signals = lane->signals;
+  signals.resize(tables.signal_names.size(), nullptr);
+  for (std::size_t r = 0; r < tables.registers.size(); ++r) {
+    signals[tables.registers[r].in] = &model.registers()[r]->in();
+    signals[tables.registers[r].out] = &model.registers()[r]->out();
+  }
+  for (std::size_t m = 0; m < tables.modules.size(); ++m) {
+    const transfer::LanePlan::Module& module = tables.modules[m];
+    for (unsigned i = 0; i < module.inputs.size(); ++i) {
+      signals[module.inputs[i]] = &model.modules()[m]->input(i);
+    }
+    if (module.op != transfer::LanePlan::kNoSignal) {
+      signals[module.op] = &model.modules()[m]->op_port();
+    }
+    signals[module.out] = &model.modules()[m]->out();
+  }
+  for (std::size_t s = 0; s < signals.size(); ++s) {
+    if (signals[s] == nullptr) {
+      const std::string& name = tables.signal_names[s];
+      RtSignal* bus = model.find_bus(name);
+      RtSignal* constant = model.find_constant(name);
+      signals[s] = bus != nullptr        ? bus
+                   : constant != nullptr ? constant
+                                         : model.find_input(name);
+    }
+  }
+
+  return [lane](const RunOptions& options) {
+    const LaneEngine& engine = lane->engine;
+    kernel::Scheduler& scheduler = lane->model.scheduler();
+    const auto start = std::chrono::steady_clock::now();
+    const kernel::KernelStats before = scheduler.stats();
+    kernel::KernelStats lane_before;
+    if (lane->block) {
+      lane_before = engine.lane_stats(*lane->block, 0);
+    } else {
+      // The event kernel's initialization: the drives `set_input` made
+      // apply without events, and each driven input still counts an update
+      // in cycle 1.
+      scheduler.initialize();
+      std::vector<std::pair<std::string, RtValue>> inputs;
+      for (const auto& [name, index] : engine.plan().input_index) {
+        if (lane->signals[index]->active()) {
+          inputs.emplace_back(name, lane->signals[index]->read());
+        }
+      }
+      std::vector<std::pair<std::size_t, std::string>> unused;  // plan names
+      lane->block = engine.start_block(
+          0, 1, [&inputs](std::size_t) { return inputs; }, unused);
+    }
+    LaneBlock& block = *lane->block;
+    engine.advance(block, options.max_cycles, options.max_delta_cycles, *lane);
+
+    const kernel::KernelStats ran = engine.lane_stats(block, 0) - lane_before;
+    kernel::KernelStats& stats = scheduler.external_stats();
+    stats = stats + ran;
+    stats.wall_time_ns += static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+    RunResult result;
+    result.stats = scheduler.stats() - before;
+    result.cycles = ran.delta_cycles;
+    result.conflicts = std::exchange(block.conflicts[0], {});
+    if (block.tripped[0] != 0) {
+      result.report.status = RunStatus::kWatchdogTripped;
+      result.report.diagnostics.push_back(
+          watchdog_diagnostic(options.max_delta_cycles, block.trip_ordinal));
+    }
+    return result;
+  };
 }
 
 LaneEngine::TableStats LaneEngine::table_stats() const {

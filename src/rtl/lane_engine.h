@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "kernel/scheduler.h"
@@ -11,13 +13,13 @@
 
 namespace ctrtl::rtl {
 
-/// Lane-parallel compiled execution of many instances of ONE design.
+/// Lane-parallel compiled execution of many instances of ONE design, and
+/// the only compiled executor: `RtModel::run` in kCompiled mode is one lane
+/// of it (`model_run`).
 ///
-/// `CompiledEngine` (PR 3) proved the six-phase control steps are fully
-/// static and lowered a single model into straight-line per-delta-cycle
-/// tables. This engine takes the next step for batch workloads: all
-/// instances of a batch share one immutable action plan
-/// (`transfer::LanePlan`, lowered exactly once by
+/// The six-phase control steps are fully static, so a design lowers into
+/// straight-line per-delta-cycle tables. All instances of a batch share one
+/// immutable action plan (`transfer::LanePlan`, lowered exactly once by
 /// `CompiledDesign::compile`), while the per-instance mutable state —
 /// signal values, sink contributions, module pipelines, register latches,
 /// conflict records, kernel counters — is laid out structure-of-arrays with
@@ -40,12 +42,12 @@ namespace ctrtl::rtl {
 /// fixed-size lane blocks across its `kernel::BatchEngine` worker pool
 /// (`BatchRunOptions::engine = BatchEngineKind::kCompiledLanes`).
 ///
-/// Equivalence contract (same as PR 3, per lane): final register values,
-/// conflicts with the event kernel's exact `(step, phase)` pinning *and
-/// order*, and the delta_cycles/events/updates/transactions counters are
-/// identical to an event-kernel run of the same instance. Verified by
-/// `verify::check_engine_equivalence` and the differential sweep in
-/// tests/verify/engine_equivalence_test.cpp.
+/// Equivalence contract, per lane: final register values, conflicts with
+/// the event kernel's exact `(step, phase)` pinning *and order*, and the
+/// delta_cycles/events/updates/transactions counters are identical to an
+/// event-kernel run of the same instance; through `model_run`, so is the
+/// event trace. Verified by `verify::check_engine_equivalence` and the
+/// differential sweep in tests/verify/engine_equivalence_test.cpp.
 class LaneEngine {
  public:
   /// Per-instance external inputs: `(input name, value)` pairs applied in
@@ -77,6 +79,18 @@ class LaneEngine {
       std::uint64_t max_cycles = kernel::Scheduler::kNoLimit,
       std::uint64_t max_delta_cycles = kernel::Scheduler::kNoLimit) const;
 
+  /// One lane of `compiled`'s plan as `model`'s kCompiled run
+  /// (`RtModel::set_compiled_run`), with `RtModel::run`'s contract: a call
+  /// resumes where the last stopped, and `max_cycles`, the watchdog and
+  /// quiescence act as on the event kernel. Each lane-value change is
+  /// published with `set_effective` and dispatched to the event observers
+  /// in the plan's update order (CS and PH last in a cycle, before the
+  /// preloads in cycle 1), so traces and VCD match the event kernel's; the
+  /// counts go to `external_stats()`. `model` must be elaborated in
+  /// kCompiled mode from `compiled`'s design and must own the run.
+  [[nodiscard]] static RtModel::CompiledRun model_run(
+      std::shared_ptr<const transfer::CompiledDesign> compiled, RtModel& model);
+
   /// Sizes of the shared lowered tables (diagnostics, tests, tools).
   /// Everything here is per-design, independent of the lane count.
   struct TableStats {
@@ -107,7 +121,17 @@ class LaneEngine {
 
   struct LaneBlock;  // mutable SoA state, defined in the .cpp
 
-  void execute_cycle(std::uint64_t ordinal, LaneBlock& block) const;
+  [[nodiscard]] LaneBlock start_block(
+      std::size_t first_instance, std::size_t lanes, const InputProvider& inputs,
+      std::vector<std::pair<std::size_t, std::string>>& input_failures) const;
+  template <typename Publish>
+  void advance(LaneBlock& block, std::uint64_t max_cycles,
+               std::uint64_t max_delta_cycles, Publish& publish) const;
+  template <typename Publish>
+  void execute_cycle(std::uint64_t ordinal, LaneBlock& block,
+                     Publish& publish) const;
+  [[nodiscard]] kernel::KernelStats lane_stats(const LaneBlock& block,
+                                               std::size_t lane) const;
 
   std::shared_ptr<const transfer::CompiledDesign> compiled_;
 };

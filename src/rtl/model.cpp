@@ -4,8 +4,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "rtl/compiled_engine.h"
-
 namespace ctrtl::rtl {
 
 namespace {
@@ -33,9 +31,6 @@ RtModel::RtModel(unsigned cs_max, TransferMode mode)
           *scheduler_, cs_max, "CONTROL",
           /*spawn_process=*/mode != TransferMode::kCompiled)) {
   if (mode_ == TransferMode::kDispatch) {
-    // One action slot per delta ordinal (1..cs_max*6), plus one for the
-    // release of wb-fired transfers at the final cr.
-    dispatch_table_.resize(static_cast<std::size_t>(cs_max) * kPhasesPerStep + 2);
     scheduler_->spawn("DISPATCH", dispatcher());
   }
 }
@@ -96,20 +91,8 @@ void RtModel::set_input(const std::string& name, RtValue value) {
   if (it == inputs_.end()) {
     throw std::invalid_argument("no input named '" + name + "'");
   }
-  if (mode_ == TransferMode::kCompiled) {
-    if (compiled_engine_ != nullptr) {
-      throw std::logic_error("compiled mode: set_input after the first run");
-    }
-    // No event loop will apply this driver's transaction; publish the value
-    // directly. The engine's first delta cycle counts the update, like the
-    // event kernel counts the pre-initialization drive.
-    RtSignal* signal = it->second.first;
-    it->second.first->set_effective(std::move(value));
-    if (std::ranges::find(compiled_inputs_touched_, signal) ==
-        compiled_inputs_touched_.end()) {
-      compiled_inputs_touched_.push_back(signal);
-    }
-    return;
+  if (compiled_ran_) {
+    throw std::logic_error("compiled mode: set_input after the first run");
   }
   it->second.first->drive(it->second.second, value);
 }
@@ -135,28 +118,25 @@ TransferProcess* RtModel::add_transfer(unsigned step, Phase phase, RtSignal& sou
     throw std::out_of_range("transfer step " + std::to_string(step) +
                             " outside 1.." + std::to_string(controller_->cs_max()));
   }
+  if (mode_ != TransferMode::kProcessPerTransfer && phase == kPhaseHigh) {
+    throw std::invalid_argument("transfer at phase cr has no release phase");
+  }
+  if (compiled_run_) {
+    throw std::logic_error("compiled mode: add_transfer after the plan was lowered");
+  }
   ++transfer_count_;
   if (mode_ == TransferMode::kCompiled) {
-    if (phase == kPhaseHigh) {
-      throw std::invalid_argument("transfer at phase cr has no release phase");
-    }
-    if (compiled_engine_ != nullptr) {
-      throw std::logic_error("compiled mode: add_transfer after the first run");
-    }
-    compiled_transfers_.push_back(CompiledTransfer{step, phase, &source, &sink});
     return nullptr;
   }
   if (mode_ == TransferMode::kDispatch) {
-    if (phase == kPhaseHigh) {
-      throw std::invalid_argument("transfer at phase cr has no release phase");
-    }
     const kernel::DriverId driver = sink.add_driver(RtValue::disc());
-    const std::size_t fire_ordinal =
-        (static_cast<std::size_t>(step) - 1) * kPhasesPerStep +
-        static_cast<std::size_t>(phase_index(phase)) + 1;
-    dispatch_table_[fire_ordinal].push_back(DispatchAction{&source, &sink, driver});
-    dispatch_table_[fire_ordinal + 1].push_back(
-        DispatchAction{nullptr, &sink, driver});
+    const std::uint64_t fire_ordinal =
+        (std::uint64_t{step} - 1) * kPhasesPerStep +
+        static_cast<std::uint64_t>(phase_index(phase)) + 1;
+    dispatch_actions_.push_back(DispatchAction{fire_ordinal, &source, &sink, driver});
+    dispatch_actions_.push_back(
+        DispatchAction{fire_ordinal + 1, nullptr, &sink, driver});
+    dispatch_sorted_ = false;
     return nullptr;
   }
   if (name.empty()) {
@@ -174,20 +154,23 @@ TransferProcess* RtModel::add_transfer(unsigned step, Phase phase, RtSignal& sou
 }
 
 kernel::Process RtModel::dispatcher() {
-  // Executes the action table indexed by the delta ordinal: the phase-wheel
+  // Executes the actions of the current delta ordinal: the phase-wheel
   // invariant guarantees ordinal <-> (step, phase), so no wait-until
   // predicates need evaluating at all.
   auto& ph = controller_->ph();
   const std::vector<kernel::SignalBase*> sensitivity = {&ph};
   for (;;) {
     co_await kernel::wait_on(sensitivity);
+    if (!dispatch_sorted_) {
+      std::ranges::stable_sort(dispatch_actions_, {}, &DispatchAction::ordinal);
+      dispatch_sorted_ = true;
+    }
     const std::uint64_t ordinal = scheduler_->now().delta;
-    if (ordinal < dispatch_table_.size()) {
-      for (const DispatchAction& action : dispatch_table_[ordinal]) {
-        action.sink->drive(action.driver, action.source != nullptr
-                                              ? action.source->read()
-                                              : RtValue::disc());
-      }
+    for (auto it = std::ranges::lower_bound(dispatch_actions_, ordinal, {},
+                                            &DispatchAction::ordinal);
+         it != dispatch_actions_.end() && it->ordinal == ordinal; ++it) {
+      it->sink->drive(it->driver, it->source != nullptr ? it->source->read()
+                                                        : RtValue::disc());
     }
   }
 }
@@ -227,15 +210,16 @@ RunResult RtModel::run(std::uint64_t max_cycles) {
 
 RunResult RtModel::run(const RunOptions& options) {
   if (mode_ == TransferMode::kCompiled) {
-    if (compiled_engine_ == nullptr) {
-      compiled_engine_ = std::make_unique<CompiledEngine>(
-          *scheduler_, *controller_, compiled_transfers_, registers_, modules_,
-          compiled_inputs_touched_);
+    if (!compiled_run_) {
+      throw std::logic_error(
+          "compiled mode: no lowered plan to run (elaborate the model with "
+          "transfer::build_model)");
     }
-    // The engine records conflicts itself (it knows which update entries hit
-    // monitored signals), so the event-observer-based recorder below is not
-    // attached; trace/VCD observers still fire through the scheduler.
-    return compiled_engine_->run(options.max_cycles, options.max_delta_cycles);
+    // The lane records conflicts itself, so the event-observer-based
+    // recorder below is not attached; trace/VCD observers still fire
+    // through the scheduler.
+    compiled_ran_ = true;
+    return compiled_run_(options);
   }
   RunResult result;
   const std::size_t observer = scheduler_->add_event_observer(

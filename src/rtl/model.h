@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -68,24 +69,13 @@ enum class TransferMode : std::uint8_t {
   /// per delta. This is the indexing a production simulator would apply to
   /// the subset's stylized wait conditions; see bench_vs_handshake.
   kDispatch,
-  /// No processes at all: elaboration lowers the model to per-delta-ordinal
-  /// action and update tables executed straight-line by rtl::CompiledEngine
+  /// No processes at all: `transfer::build_model` lowers the design to its
+  /// `LanePlan` and `run` executes it as one lane of the `LaneEngine`
   /// (classic levelized compiled-code simulation). Delta-cycle-exact with
   /// the event-driven modes — same values, events, conflicts, and trace
-  /// order — for the canonical transfer phases (ra/rb/wa/wb fires).
+  /// order.
   kCompiled,
 };
-
-/// One recorded transfer in compiled mode: fire (source -> sink) at
-/// (step, phase), release (DISC) at the succeeding phase.
-struct CompiledTransfer {
-  unsigned step = 0;
-  Phase phase = Phase::kRa;
-  RtSignal* source = nullptr;
-  RtSignal* sink = nullptr;
-};
-
-class CompiledEngine;
 
 /// A concrete register transfer model (paper section 2.7): one controller,
 /// registers, modules, buses, constants, and transfer processes, all built
@@ -118,7 +108,9 @@ class RtModel {
   /// the IKS micro-operation `X := 0 + Rshift(x2, i)`).
   RtSignal& add_constant(const std::string& name, std::int64_t value);
 
-  /// An external input port; set with `set_input` before `run`.
+  /// An external input port; set with `set_input` before `run`. A
+  /// kCompiled model takes its inputs once, at its first run: `set_input`
+  /// after that throws `std::logic_error`.
   RtSignal& add_input(const std::string& name);
   void set_input(const std::string& name, RtValue value);
 
@@ -138,8 +130,9 @@ class RtModel {
 
   /// Schedules a transfer for (step, phase, source -> sink). In
   /// kProcessPerTransfer mode this instantiates a TRANS process (returned
-  /// pointer non-null); in kDispatch and kCompiled modes it adds table
-  /// entries and returns nullptr.
+  /// pointer non-null); in kDispatch mode it adds table entries, and in
+  /// kCompiled mode it only counts the transfer (the installed
+  /// `CompiledRun` executes the lowered plan); both return nullptr.
   TransferProcess* add_transfer(unsigned step, Phase phase, RtSignal& source,
                                 RtSignal& sink, std::string name = "");
 
@@ -176,11 +169,12 @@ class RtModel {
   /// conflicts up to the trip point remain valid partial results.
   RunResult run(const RunOptions& options);
 
-  /// The transfers recorded for the compiled engine (kCompiled mode only;
-  /// empty otherwise).
-  [[nodiscard]] const std::vector<CompiledTransfer>& compiled_transfers() const {
-    return compiled_transfers_;
-  }
+  /// The executor behind `run` in kCompiled mode, which spawns no
+  /// processes: `transfer::build_model` installs one lane of the design's
+  /// `LanePlan` here (`LaneEngine::model_run`). Without one, `run` throws
+  /// `std::logic_error`.
+  using CompiledRun = std::function<RunResult(const RunOptions&)>;
+  void set_compiled_run(CompiledRun run) { compiled_run_ = std::move(run); }
 
  private:
   void register_module(std::unique_ptr<Module> module);
@@ -188,6 +182,7 @@ class RtModel {
   kernel::Process dispatcher();
 
   struct DispatchAction {
+    std::uint64_t ordinal = 0;   // the delta ordinal that drives it
     RtSignal* source = nullptr;  // nullptr = release (drive DISC)
     RtSignal* sink = nullptr;
     kernel::DriverId driver = 0;
@@ -195,22 +190,19 @@ class RtModel {
 
   TransferMode mode_;
   std::size_t transfer_count_ = 0;
-  /// Actions per delta ordinal (1-based); index 0 unused.
-  std::vector<std::vector<DispatchAction>> dispatch_table_;
-  /// Transfers recorded for lowering (kCompiled mode), in add order — the
-  /// order the equivalent TRANS processes would have been spawned in, which
-  /// the engine's tables must preserve for event-order parity.
-  std::vector<CompiledTransfer> compiled_transfers_;
-  /// Inputs touched by set_input (kCompiled mode), in first-touch order.
-  std::vector<RtSignal*> compiled_inputs_touched_;
+  /// kDispatch: every fire and release, sorted by delta ordinal and, within
+  /// one ordinal, in add order (the drive order, and with it the conflict
+  /// order). Sized by the transfer count, not by cs_max; re-sorted (stably)
+  /// at the first dispatch after an add.
+  std::vector<DispatchAction> dispatch_actions_;
+  bool dispatch_sorted_ = true;
+  CompiledRun compiled_run_;
+  bool compiled_ran_ = false;
   std::unique_ptr<kernel::Scheduler> scheduler_;
   std::unique_ptr<Controller> controller_;
   std::vector<std::unique_ptr<Register>> registers_;
   std::vector<std::unique_ptr<Module>> modules_;
   std::vector<std::unique_ptr<TransferProcess>> transfers_;
-  /// Built lazily at first run in kCompiled mode (declared after the
-  /// scheduler and components so it is destroyed before them).
-  std::unique_ptr<CompiledEngine> compiled_engine_;
   std::vector<RtSignal*> buses_;
   std::map<std::string, RtSignal*> buses_by_name_;
   std::map<std::string, Register*> registers_by_name_;

@@ -55,15 +55,9 @@ class Module {
   [[nodiscard]] bool poisoned() const { return poisoned_; }
 
   /// Call after construction wiring is complete; spawns the module process.
-  /// `RtModel` does this automatically (except in compiled mode, where the
-  /// engine calls `advance` from its action table instead).
+  /// `RtModel` does this automatically (except in kCompiled mode, where the
+  /// model's lane steps its own copy of the module from the plan).
   void start(kernel::Scheduler& scheduler);
-
-  /// One `cm`-phase step, shared by the module process and the compiled
-  /// engine: evaluates the operands (combinationally for latency 0,
-  /// otherwise advancing the pipeline with the paper's poisoned-freeze
-  /// guard) and returns the value the output port shows next.
-  [[nodiscard]] RtValue advance(std::span<const RtValue> operands, const RtValue& op);
 
  protected:
   /// Combines operand payloads under `op` (0 when there is no op port).
@@ -82,6 +76,12 @@ class Module {
 
  private:
   kernel::Process run();
+
+  /// One `cm`-phase step of the module process: evaluates the operands
+  /// (combinationally for latency 0, otherwise advancing the pipeline with
+  /// the paper's poisoned-freeze guard) and returns the value the output
+  /// port shows next.
+  [[nodiscard]] RtValue advance(std::span<const RtValue> operands, const RtValue& op);
 
   Controller& controller_;
   std::string name_;

@@ -23,7 +23,7 @@ namespace ctrtl::rtl {
 class Register {
  public:
   /// `spawn_process == false` creates the ports without the latch process —
-  /// the compiled engine latches registers from its action table instead.
+  /// in kCompiled mode the model's lane latches registers from its plan.
   Register(kernel::Scheduler& scheduler, Controller& controller, std::string name,
            std::optional<RtValue> initial = std::nullopt, bool spawn_process = true);
 
@@ -38,9 +38,6 @@ class Register {
 
   /// Current stored value (the effective value of the output port).
   [[nodiscard]] RtValue value() const { return out_.read(); }
-
-  /// The preload, if any (exposed for the compiled engine's init table).
-  [[nodiscard]] const std::optional<RtValue>& initial() const { return initial_; }
 
   [[nodiscard]] const std::string& name() const { return name_; }
 

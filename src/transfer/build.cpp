@@ -4,6 +4,7 @@
 #include <set>
 #include <stdexcept>
 
+#include "rtl/lane_engine.h"
 #include "rtl/modules.h"
 #include "transfer/mapping.h"
 #include "transfer/schedule.h"
@@ -159,6 +160,12 @@ std::unique_ptr<rtl::RtModel> build_model(const Design& design,
 std::unique_ptr<rtl::RtModel> build_model(const Design& design,
                                           std::span<const TransInstance> instances,
                                           rtl::TransferMode mode) {
+  if (mode == rtl::TransferMode::kCompiled) {
+    return build_model(
+        *CompiledDesign::compile(
+            design, std::vector<TransInstance>(instances.begin(), instances.end())),
+        mode);
+  }
   common::DiagnosticBag diags;
   if (!validate(design, diags)) {
     throw std::invalid_argument("design '" + design.name +
@@ -170,7 +177,13 @@ std::unique_ptr<rtl::RtModel> build_model(const Design& design,
 std::unique_ptr<rtl::RtModel> build_model(const CompiledDesign& compiled,
                                           rtl::TransferMode mode) {
   // `CompiledDesign::compile` validated the design and checked the stream.
-  return elaborate(compiled.design, compiled.instances, mode);
+  std::unique_ptr<rtl::RtModel> model =
+      elaborate(compiled.design, compiled.instances, mode);
+  if (mode == rtl::TransferMode::kCompiled) {
+    model->set_compiled_run(
+        rtl::LaneEngine::model_run(compiled.shared_from_this(), *model));
+  }
+  return model;
 }
 
 }  // namespace ctrtl::transfer

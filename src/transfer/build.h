@@ -16,9 +16,10 @@ namespace ctrtl::transfer {
 ///
 /// Throws `std::invalid_argument` (with the full diagnostic text) when the
 /// design does not validate. `mode` selects the transfer execution scheme:
-/// paper-faithful TRANS processes, the indexed dispatcher ablation, or the
-/// compiled engine (`rtl::TransferMode::kCompiled`). Every mode receives
-/// the same instances in the same stream order.
+/// paper-faithful TRANS processes, the indexed dispatcher ablation, or
+/// `rtl::TransferMode::kCompiled`, which compiles the design
+/// (`CompiledDesign::compile`) and runs one lane of its plan. Every mode
+/// receives the same instances in the same stream order.
 [[nodiscard]] std::unique_ptr<rtl::RtModel> build_model(
     const Design& design,
     rtl::TransferMode mode = rtl::TransferMode::kProcessPerTransfer);
@@ -37,10 +38,11 @@ namespace ctrtl::transfer {
 /// Elaborates from an already-compiled design: the stream stored in
 /// `compiled.instances` (faulted or not) in every mode, without validating
 /// again — `CompiledDesign::compile` did that once for a whole batch of
-/// instances.
+/// instances. In kCompiled mode the model runs `compiled.plan` as one lane
+/// of `rtl::LaneEngine` and shares ownership of `compiled`.
 [[nodiscard]] std::unique_ptr<rtl::RtModel> build_model(
     const CompiledDesign& compiled,
-    rtl::TransferMode mode = rtl::TransferMode::kCompiled);
+    rtl::TransferMode mode = rtl::TransferMode::kDispatch);
 
 /// Resolves a symbolic endpoint to its signal in an elaborated model.
 /// Throws `std::invalid_argument` when the endpoint names nothing.

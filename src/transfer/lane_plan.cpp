@@ -1,5 +1,6 @@
 #include "transfer/lane_plan.h"
 
+#include <algorithm>
 #include <set>
 #include <stdexcept>
 
@@ -143,8 +144,8 @@ LanePlan lower_lane_plan(const Design& design,
   //     `cm`, stepped or not (an unstepped module's output already holds
   //     its idle value, so the update changes nothing);
   //   - externally set inputs are per-lane *counts* added at cycle 1 (the
-  //     value itself is published at set-input time, before the stats
-  //     window, exactly like RtModel::set_input in compiled mode).
+  //     value itself is published before the first cycle, like the event
+  //     kernel's initialization applies RtModel::set_input's drive).
   // Register preloads stay materialized as (dirty-gated) register-out
   // entries, like any other latch.
   const unsigned cs_max = design.cs_max;
@@ -270,6 +271,9 @@ LanePlan lower_lane_plan(const Design& design,
           plan.latches.push_back(owner);
         }
       }
+      // Register processes latch, and their outputs update, in elaboration
+      // order on the event kernel.
+      std::sort(plan.latches.begin() + cycle.latches, plan.latches.end());
     }
 
     // Transactions every lane performs this cycle: fires, releases (every

@@ -168,10 +168,10 @@ struct LanePlan {
 
 /// Lowers a design and its TRANS instance stream into the lane plan. The
 /// levels come from `InstanceWalker`: a cycle fires its level's instances
-/// in stream order, the order `rtl::CompiledEngine` and the event kernel
-/// fire them in, so the per-lane conflict order matches the per-instance
-/// engines exactly. Update lists follow the event kernel's pending order,
-/// less the entries that cannot change a lane's state. Expects every
+/// in stream order, the order the event kernel's TRANS processes fire them
+/// in, so the per-lane conflict order matches the per-instance engines
+/// exactly. Update lists follow the event kernel's pending order (latches
+/// in register order), less the entries that cannot change a lane's state. Expects every
 /// instance inside 1..cs_max and none at `cr` (`CompiledDesign::compile`
 /// checks both). Throws `std::invalid_argument` for an operation endpoint
 /// on a module without an operation port.

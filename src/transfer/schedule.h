@@ -15,8 +15,9 @@ namespace ctrtl::transfer {
 /// engine, tools — shares the same immutable object read-only; the
 /// shared_ptr makes the sharing explicit across `rtl::BatchRunner`
 /// instances and worker threads. `ctrtl_serve` caches this object, so a
-/// cache hit runs without rebuilding any table.
-struct CompiledDesign {
+/// cache hit runs without rebuilding any table. Only `compile` makes one,
+/// so every `CompiledDesign` is owned by a shared_ptr (`shared_from_this`).
+struct CompiledDesign : std::enable_shared_from_this<CompiledDesign> {
   Design design;
   /// In stream order: the design's own tuples expanded (`to_instances`),
   /// or the stream a `fault::FaultPlan` transformed. Every step lies in

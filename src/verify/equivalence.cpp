@@ -95,7 +95,6 @@ namespace {
 /// design straight through; the fault check routes both through the fault
 /// facade so every engine consumes the identical transformed stream.
 CheckReport check_engine_equivalence_impl(
-    const std::vector<transfer::RegisterDecl>& registers,
     const std::map<std::string, std::int64_t>& inputs,
     const std::function<std::unique_ptr<rtl::RtModel>(rtl::TransferMode)>& build,
     std::shared_ptr<const transfer::CompiledDesign> compiled) {
@@ -125,55 +124,6 @@ CheckReport check_engine_equivalence_impl(
   const auto [compiled_model, compiled_trace, compiled_result] =
       run_with(rtl::TransferMode::kCompiled);
 
-  for (const transfer::RegisterDecl& decl : registers) {
-    const rtl::Register* event_reg = event_model->find_register(decl.name);
-    const rtl::Register* compiled_reg = compiled_model->find_register(decl.name);
-    if (event_reg->value() != compiled_reg->value()) {
-      report.mismatches.push_back(
-          "register " + decl.name + ": event engine " +
-          rtl::to_string(event_reg->value()) + ", compiled engine " +
-          rtl::to_string(compiled_reg->value()));
-    }
-  }
-
-  // Conflicts must agree *in order*: both engines record a conflict the
-  // delta cycle the ILLEGAL value becomes visible.
-  if (event_result.conflicts != compiled_result.conflicts) {
-    std::ostringstream out;
-    out << "conflict records differ; event {";
-    for (const rtl::Conflict& c : event_result.conflicts) {
-      out << " [" << rtl::to_string(c) << "]";
-    }
-    out << " } compiled {";
-    for (const rtl::Conflict& c : compiled_result.conflicts) {
-      out << " [" << rtl::to_string(c) << "]";
-    }
-    out << " }";
-    report.mismatches.push_back(out.str());
-  }
-
-  if (event_result.cycles != compiled_result.cycles) {
-    report.mismatches.push_back(
-        "cycles differ: event " + std::to_string(event_result.cycles) +
-        ", compiled " + std::to_string(compiled_result.cycles));
-  }
-  const auto compare_counter = [&](const char* name, std::uint64_t event_count,
-                                   std::uint64_t compiled_count) {
-    if (event_count != compiled_count) {
-      report.mismatches.push_back(std::string(name) + " differ: event " +
-                                  std::to_string(event_count) + ", compiled " +
-                                  std::to_string(compiled_count));
-    }
-  };
-  compare_counter("delta_cycles", event_result.stats.delta_cycles,
-                  compiled_result.stats.delta_cycles);
-  compare_counter("events", event_result.stats.events,
-                  compiled_result.stats.events);
-  compare_counter("updates", event_result.stats.updates,
-                  compiled_result.stats.updates);
-  compare_counter("transactions", event_result.stats.transactions,
-                  compiled_result.stats.transactions);
-
   if (event_trace->events() != compiled_trace->events()) {
     const auto& lhs = event_trace->events();
     const auto& rhs = compiled_trace->events();
@@ -194,19 +144,25 @@ CheckReport check_engine_equivalence_impl(
     report.mismatches.push_back(out.str());
   }
 
-  // Side 3: the lane engine — the same design lowered once into the shared
-  // action table and executed as structure-of-arrays lanes. Its contract is
-  // InstanceResult equality with the event kernel, so compare against the
-  // event side both as a single-lane block and as an inner lane of a wider
-  // block (the latter catches cross-lane indexing mistakes a lone lane
-  // cannot expose).
-  rtl::InstanceResult event_instance;
-  event_instance.cycles = event_result.cycles;
-  event_instance.stats = event_result.stats;
-  event_instance.conflicts = event_result.conflicts;
-  for (const auto& reg : event_model->registers()) {
-    event_instance.registers.emplace_back(reg->name(), reg->value());
-  }
+  // Every lane — the kCompiled model's, and side 3, the lane engine's
+  // blocks over the same design lowered once into the shared action table
+  // — must equal the event kernel's InstanceResult: registers, ordered
+  // conflicts (recorded the delta cycle the ILLEGAL value becomes visible)
+  // and counters. The blocks are checked as a single lane and as an inner
+  // lane of a wider block (the latter catches cross-lane indexing mistakes
+  // a lone lane cannot expose).
+  const auto instance_of = [](const rtl::RtModel& model,
+                              const rtl::RunResult& result) {
+    rtl::InstanceResult instance;
+    instance.cycles = result.cycles;
+    instance.stats = result.stats;
+    instance.conflicts = result.conflicts;
+    for (const auto& reg : model.registers()) {
+      instance.registers.emplace_back(reg->name(), reg->value());
+    }
+    return instance;
+  };
+  const rtl::InstanceResult event_instance = instance_of(*event_model, event_result);
   const rtl::BatchInputProvider provider = [&inputs](std::size_t) {
     std::vector<std::pair<std::string, rtl::RtValue>> pairs;
     pairs.reserve(inputs.size());
@@ -263,6 +219,8 @@ CheckReport check_engine_equivalence_impl(
     lane_counter("transactions", event_instance.stats.transactions,
                  lane.stats.transactions);
   };
+  check_lane(instance_of(*compiled_model, compiled_result),
+             "compiled engine (model lane)");
   check_lane(lane_engine.run_block(0, 1, provider)[0], "lane engine (1 lane)");
   check_lane(lane_engine.run_block(0, 3, provider)[1],
              "lane engine (lane 1 of 3)");
@@ -275,7 +233,7 @@ CheckReport check_engine_equivalence(
     const transfer::Design& design,
     const std::map<std::string, std::int64_t>& inputs) {
   return check_engine_equivalence_impl(
-      design.registers, inputs,
+      inputs,
       [&design](rtl::TransferMode mode) {
         return transfer::build_model(design, mode);
       },
@@ -286,7 +244,7 @@ CheckReport check_engine_equivalence(
     const fault::FaultedDesign& faulted,
     const std::map<std::string, std::int64_t>& inputs) {
   return check_engine_equivalence_impl(
-      faulted.design.registers, inputs,
+      inputs,
       [&faulted](rtl::TransferMode mode) {
         return fault::build_model(faulted, mode);
       },

@@ -32,20 +32,22 @@ struct CheckReport {
     const transfer::Design& design,
     const std::map<std::string, std::int64_t>& inputs = {});
 
-/// Differential check of the two execution engines: elaborates `design`
-/// once with paper-faithful TRANS processes (event kernel) and once with
-/// the compiled static-schedule engine (`rtl::TransferMode::kCompiled`),
-/// runs both on the same inputs, and compares
+/// Differential check of the compiled executor against the event kernel,
+/// the independent side: elaborates `design` once with paper-faithful TRANS
+/// processes and once in `rtl::TransferMode::kCompiled` (one lane of the
+/// design's `LanePlan`, publishing onto the model's signals), runs both on
+/// the same inputs, and compares
 ///   - final register values,
-///   - the full conflict record (exact order — the compiled engine pins
-///     conflicts to the same (step, phase) delta cycles),
+///   - the full conflict record (exact order — the lane pins conflicts to
+///     the same (step, phase) delta cycles),
 ///   - delta-cycle counts and the event/update/transaction counters,
 ///   - the complete signal-event trace (every event, in order, with the
 ///     same SimTime — i.e. VCD output is identical).
 ///
-/// The lane engine (`rtl::LaneEngine`) is checked as a third side against
-/// the event kernel — final registers, ordered conflicts, and all counters,
-/// both as a single-lane block and as an inner lane of a multi-lane block.
+/// The lane engine's block run (`rtl::LaneEngine::run_block`) is checked as
+/// a third side against the event kernel — final registers, ordered
+/// conflicts, and all counters, both as a single-lane block and as an inner
+/// lane of a multi-lane block.
 [[nodiscard]] CheckReport check_engine_equivalence(
     const transfer::Design& design,
     const std::map<std::string, std::int64_t>& inputs = {});

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "rtl/batch_runner.h"
 #include "transfer/build.h"
 #include "verify/equivalence.h"
 #include "verify/random_design.h"
@@ -10,8 +11,10 @@ namespace {
 
 // The dispatcher execution mode (rtl::TransferMode::kDispatch) must be
 // observationally identical to the paper-faithful process-per-transfer
-// mode: same register values, same conflicts at the same (step, phase),
-// same delta-cycle count, same register-write trace.
+// mode: the same InstanceResult (register values, conflicts at the same
+// (step, phase) in the same order, delta cycles, events, updates,
+// transactions, report) and the same register-write trace. It is the
+// per-instance reference `BatchRunner` checks the lanes against.
 
 class DispatchEquivalence : public ::testing::TestWithParam<int> {};
 
@@ -25,20 +28,13 @@ TEST_P(DispatchEquivalence, CleanDesignsMatch) {
   auto faithful =
       transfer::build_model(design, rtl::TransferMode::kProcessPerTransfer);
   verify::RegisterWriteTrace faithful_trace(*faithful);
-  const rtl::RunResult faithful_result = faithful->run();
+  const rtl::InstanceResult faithful_result = rtl::run_instance(*faithful);
 
   auto dispatched = transfer::build_model(design, rtl::TransferMode::kDispatch);
   verify::RegisterWriteTrace dispatched_trace(*dispatched);
-  const rtl::RunResult dispatched_result = dispatched->run();
+  const rtl::InstanceResult dispatched_result = rtl::run_instance(*dispatched);
 
-  EXPECT_EQ(faithful_result.stats.delta_cycles,
-            dispatched_result.stats.delta_cycles);
-  EXPECT_EQ(faithful_result.conflicts, dispatched_result.conflicts);
-  for (const transfer::RegisterDecl& reg : design.registers) {
-    EXPECT_EQ(faithful->find_register(reg.name)->value(),
-              dispatched->find_register(reg.name)->value())
-        << "register " << reg.name << " (seed " << GetParam() << ")";
-  }
+  EXPECT_EQ(faithful_result, dispatched_result) << "seed " << GetParam();
   EXPECT_TRUE(verify::compare_write_traces(faithful_trace.writes(),
                                            dispatched_trace.writes())
                   .consistent());
@@ -53,17 +49,13 @@ TEST_P(DispatchEquivalence, ConflictingDesignsMatch) {
 
   auto faithful =
       transfer::build_model(design, rtl::TransferMode::kProcessPerTransfer);
-  const rtl::RunResult faithful_result = faithful->run();
+  const rtl::InstanceResult faithful_result = rtl::run_instance(*faithful);
   auto dispatched = transfer::build_model(design, rtl::TransferMode::kDispatch);
-  const rtl::RunResult dispatched_result = dispatched->run();
+  const rtl::InstanceResult dispatched_result = rtl::run_instance(*dispatched);
 
   ASSERT_FALSE(faithful_result.conflicts.empty());
-  EXPECT_EQ(faithful_result.conflicts, dispatched_result.conflicts)
+  EXPECT_EQ(faithful_result, dispatched_result)
       << "conflicts must be located identically (seed " << GetParam() << ")";
-  for (const transfer::RegisterDecl& reg : design.registers) {
-    EXPECT_EQ(faithful->find_register(reg.name)->value(),
-              dispatched->find_register(reg.name)->value());
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DispatchEquivalence, ::testing::Range(1, 21));
@@ -80,6 +72,23 @@ TEST(DispatchMode, TransferCountTracked) {
   EXPECT_EQ(faithful->transfers().size(), faithful->transfer_count());
   EXPECT_TRUE(dispatched->transfers().empty()) << "no TRANS processes in dispatch mode";
   EXPECT_EQ(dispatched->transfer_mode(), rtl::TransferMode::kDispatch);
+}
+
+TEST(DispatchMode, TableFollowsTheTransfersNotCsMax) {
+  // Figure 1's transfer in a design four billion steps long: the dispatch
+  // table holds its twelve actions, not one slot per delta ordinal.
+  transfer::Design design;
+  design.cs_max = 4000000000u;
+  design.registers = {{"R1", 30}, {"R2", 12}};
+  design.buses = {{"B1"}, {"B2"}};
+  design.modules = {{"ADD", transfer::ModuleKind::kAdd, 1}};
+  design.transfers = {transfer::RegisterTransfer::full("R1", "B1", "R2", "B2", 5,
+                                                       "ADD", 6, "B1", "R1")};
+  auto model = transfer::build_model(design, rtl::TransferMode::kDispatch);
+  const rtl::RunResult result = model->run(rtl::RunOptions{.max_delta_cycles = 42});
+  EXPECT_EQ(result.stats.delta_cycles, 42u);
+  EXPECT_EQ(result.report.status, rtl::RunStatus::kWatchdogTripped);
+  EXPECT_EQ(model->find_register("R1")->value(), rtl::RtValue::of(42));
 }
 
 }  // namespace

@@ -128,10 +128,25 @@ TEST(Signal, SignalIdsAreSequential) {
   EXPECT_EQ(sched.signal_count(), 2u);
 }
 
+TEST(Signal, ActiveFromADriveUntilItsUpdatePhase) {
+  // A drive of the current value is still an update: the signal stays
+  // active (on the next update phase's list) until that phase runs.
+  Scheduler sched;
+  auto& sig = sched.make_signal<int>("s", 0);
+  const DriverId driver = sig.add_driver();
+  EXPECT_FALSE(sig.active());
+  sig.drive(driver, 0);
+  EXPECT_TRUE(sig.active());
+  sched.run();
+  EXPECT_FALSE(sig.active());
+  EXPECT_EQ(sched.stats().updates, 1u);
+  EXPECT_EQ(sched.stats().events, 0u);
+}
+
 TEST(Signal, SetEffectiveBypassesDriversAndReportsEvents) {
-  // The external-engine interface (rtl::CompiledEngine): a direct effective
-  // write returns whether the value changed, without touching drivers or
-  // scheduling an update.
+  // The external-engine interface (a kCompiled model's lane): a direct
+  // effective write returns whether the value changed, without touching
+  // drivers or scheduling an update.
   Scheduler sched;
   auto& sig = sched.make_signal<int>("s", 0);
   EXPECT_FALSE(sig.set_effective(0)) << "same value: no event";
