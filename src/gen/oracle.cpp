@@ -1,23 +1,18 @@
 #include "gen/oracle.h"
 
 #include <algorithm>
-#include <cstddef>
-#include <deque>
 #include <stdexcept>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/diagnostics.h"
 #include "transfer/mapping.h"
-#include "transfer/module_sim.h"
 #include "transfer/walk.h"
 
 namespace ctrtl::gen {
 
 namespace {
 
-using rtl::Phase;
-using transfer::Endpoint;
 using transfer::TransInstance;
 
 /// The oracle's abstract domain: DISC / ILLEGAL / value, with the value
@@ -29,16 +24,6 @@ struct AbsValue {
   Kind kind = Kind::kDisc;
   std::int64_t payload = 0;  // meaningful only for kKnown
 
-  static AbsValue disc() { return {}; }
-  static AbsValue illegal() { return {Kind::kIllegal, 0}; }
-  static AbsValue known(std::int64_t value) { return {Kind::kKnown, value}; }
-  static AbsValue unknown() { return {Kind::kUnknown, 0}; }
-
-  [[nodiscard]] bool is_disc() const { return kind == Kind::kDisc; }
-  [[nodiscard]] bool is_illegal() const { return kind == Kind::kIllegal; }
-  [[nodiscard]] bool is_value() const {
-    return kind == Kind::kKnown || kind == Kind::kUnknown;
-  }
   [[nodiscard]] rtl::RtValue::Kind classification() const {
     switch (kind) {
       case Kind::kDisc:
@@ -53,106 +38,60 @@ struct AbsValue {
   }
 };
 
-/// Abstract counterpart of `rtl::resolve_rt`: classification of the wired-or
-/// depends only on the classifications of the contributions.
-AbsValue resolve_abs(const std::vector<AbsValue>& values) {
-  const AbsValue* single = nullptr;
-  std::size_t non_disc = 0;
-  for (const AbsValue& value : values) {
-    if (value.is_illegal()) {
-      return AbsValue::illegal();
-    }
-    if (!value.is_disc()) {
-      ++non_disc;
-      single = &value;
-    }
-  }
-  if (non_disc >= 2) {
-    return AbsValue::illegal();
-  }
-  return non_disc == 1 ? *single : AbsValue::disc();
-}
+/// `transfer::walk_phases` over AbsValue. Every rule that separates the
+/// classes depends only on the classes of its inputs, so a unit's result is
+/// an unknown payload, and a MACC holds a value when idle.
+struct Abstract {
+  using Value = AbsValue;
 
-/// Abstract counterpart of `transfer::ModuleSim`: identical operand
-/// discipline, pipeline depth, and poisoning rule, evaluated over AbsValue.
-/// Arity lookups delegate to a real ModuleSim so the two can never drift.
-class AbsModule {
- public:
-  explicit AbsModule(const transfer::ModuleDecl& decl)
-      : decl_(&decl), arity_probe_(decl) {
-    pipeline_.assign(decl.latency, AbsValue::disc());
+  const std::map<std::string, std::int64_t>& inputs;
+  std::vector<verify::DiscSite> disc_sites;
+
+  static Value disc() { return {}; }
+  static Value illegal() { return {AbsValue::Kind::kIllegal, 0}; }
+  static Value unknown() { return {AbsValue::Kind::kUnknown, 0}; }
+  static Value constant(std::int64_t payload) {
+    return {AbsValue::Kind::kKnown, payload};
+  }
+  static bool is_disc(const Value& value) {
+    return value.kind == AbsValue::Kind::kDisc;
+  }
+  static bool is_illegal(const Value& value) {
+    return value.kind == AbsValue::Kind::kIllegal;
   }
 
-  AbsValue evaluate(std::span<const AbsValue> operands, const AbsValue& op) {
-    for (const AbsValue& operand : operands) {
-      if (operand.is_illegal()) {
-        return AbsValue::illegal();
-      }
-    }
-    const bool has_op = decl_->has_op_port();
-    unsigned arity = decl_->num_inputs();
-    if (has_op) {
-      if (op.is_illegal()) {
-        return AbsValue::illegal();
-      }
-      if (op.is_disc()) {
-        for (const AbsValue& operand : operands) {
-          if (!operand.is_disc()) {
-            return AbsValue::illegal();
-          }
-        }
-        // MACC holds its accumulator when idle — a value, never DISC.
-        return decl_->kind == transfer::ModuleKind::kMacc ? AbsValue::unknown()
-                                                          : AbsValue::disc();
-      }
-      if (op.kind != AbsValue::Kind::kKnown) {
-        throw std::domain_error(
-            "conflict oracle: module '" + decl_->name +
-            "' op port driven by a payload that is not statically known — "
-            "outside the tuple/fault-plan model class");
-      }
-      arity = arity_probe_.arity_for(op.payload);
-    }
-    unsigned present = 0;
-    for (unsigned i = 0; i < arity && i < operands.size(); ++i) {
-      if (operands[i].is_value()) {
-        ++present;
-      }
-    }
-    if (present == 0 && !has_op) {
-      return AbsValue::disc();
-    }
-    if (present != arity) {
-      return AbsValue::illegal();
-    }
-    return AbsValue::unknown();
+  [[nodiscard]] Value input(const std::string& name) const {
+    const auto it = inputs.find(name);
+    return it == inputs.end() ? disc() : constant(it->second);
   }
 
-  AbsValue step(std::span<const AbsValue> operands, const AbsValue& op) {
-    if (decl_->latency == 0) {
-      out_ = evaluate(operands, op);
-      return out_;
-    }
-    out_ = pipeline_.back();
-    const AbsValue next =
-        poisoned_ ? AbsValue::illegal() : evaluate(operands, op);
-    pipeline_.pop_back();
-    pipeline_.push_front(next);
-    if (next.is_illegal()) {
-      poisoned_ = true;
-    }
-    return out_;
+  static Value resolve(std::span<const Value> values) {
+    return transfer::resolve_contributions<Abstract>(values);
   }
 
-  [[nodiscard]] const AbsValue& out() const { return out_; }
-  [[nodiscard]] const transfer::ModuleDecl& decl() const { return *decl_; }
+  void resolved(const std::string& sink, unsigned step, rtl::Phase phase,
+                const Value& value) {
+    if (is_disc(value)) {
+      disc_sites.push_back(verify::DiscSite{sink, step, phase});
+    }
+  }
 
- private:
-  const transfer::ModuleDecl* decl_;
-  transfer::ModuleSim arity_probe_;
-  std::deque<AbsValue> pipeline_;  // front() newest; size == latency
-  AbsValue out_ = AbsValue::disc();
-  bool poisoned_ = false;
+  static std::int64_t op_code(const transfer::ModuleDecl& decl, const Value& op) {
+    if (op.kind != AbsValue::Kind::kKnown) {
+      throw std::domain_error(
+          "conflict oracle: module '" + decl.name +
+          "' op port driven by a payload that is not statically known — "
+          "outside the tuple/fault-plan model class");
+    }
+    return op.payload;
+  }
+  static Value apply(const transfer::ModuleDecl& /*decl*/, Value& /*acc*/,
+                     std::span<const Value> /*operands*/, std::int64_t /*op*/) {
+    return unknown();
+  }
+  static Value idle(const transfer::ModuleDecl& decl, const Value& /*acc*/) {
+    return decl.kind == transfer::ModuleKind::kMacc ? unknown() : disc();
+  }
 };
 
 }  // namespace
@@ -166,133 +105,15 @@ verify::OutcomePrediction predict_outcomes(
     throw std::invalid_argument("conflict oracle: design does not validate:\n" +
                                 diags.to_text());
   }
-
-  std::map<std::string, AbsValue> registers;
-  for (const transfer::RegisterDecl& reg : design.registers) {
-    registers[reg.name] = reg.initial.has_value() ? AbsValue::known(*reg.initial)
-                                                  : AbsValue::disc();
-  }
-  std::map<std::string, AbsValue> constants;
-  for (const transfer::ConstantDecl& constant : design.constants) {
-    constants[constant.name] = AbsValue::known(constant.value);
-  }
-  std::map<std::string, AbsValue> input_values;
-  for (const transfer::InputDecl& input : design.inputs) {
-    const auto it = inputs.find(input.name);
-    input_values[input.name] =
-        it == inputs.end() ? AbsValue::disc() : AbsValue::known(it->second);
-  }
-  std::map<std::string, AbsModule> modules;
-  for (const transfer::ModuleDecl& module : design.modules) {
-    modules.emplace(module.name, AbsModule(module));
-  }
-
-  const transfer::InstanceWalker walker(instances, design.cs_max);
+  Abstract domain{inputs, {}};
+  transfer::PhaseWalk<AbsValue> walk =
+      transfer::walk_phases(design, instances, domain);
 
   verify::OutcomePrediction prediction;
-
-  std::map<std::string, AbsValue> visible;
-
-  const auto source_value = [&](const Endpoint& source) -> AbsValue {
-    switch (source.kind) {
-      case Endpoint::Kind::kRegisterOut:
-        return registers.at(source.resource);
-      case Endpoint::Kind::kConstant: {
-        const auto it = constants.find(source.resource);
-        if (it != constants.end()) {
-          return it->second;
-        }
-        std::int64_t code = 0;
-        if (transfer::parse_op_constant_name(source.resource, code)) {
-          return AbsValue::known(code);
-        }
-        throw std::logic_error("conflict oracle: unknown constant '" +
-                               source.resource + "'");
-      }
-      case Endpoint::Kind::kInput:
-        return input_values.at(source.resource);
-      case Endpoint::Kind::kModuleOut:
-        return modules.at(source.resource).out();
-      case Endpoint::Kind::kBus: {
-        const auto it = visible.find(source.resource);
-        return it == visible.end() ? AbsValue::disc() : it->second;
-      }
-      default:
-        throw std::logic_error("conflict oracle: bad source endpoint");
-    }
-  };
-
-  for (unsigned step = 1; step <= design.cs_max; ++step) {
-    for (int phase_index = 0; phase_index < rtl::kPhasesPerStep; ++phase_index) {
-      const Phase phase = rtl::phase_from_index(phase_index);
-
-      std::map<std::string, std::vector<AbsValue>> contributions;
-      if (phase != rtl::kPhaseLow) {
-        for (const TransInstance* instance :
-             walker.fires(step, rtl::pred(phase))) {
-          contributions[to_string(instance->sink)].push_back(
-              source_value(instance->source));
-        }
-      }
-      std::map<std::string, AbsValue> next_visible;
-      for (const auto& [sink, values] : contributions) {
-        next_visible[sink] = resolve_abs(values);
-      }
-      for (const auto& [sink, value] : next_visible) {
-        if (value.is_disc()) {
-          prediction.disc_sites.push_back(verify::DiscSite{sink, step, phase});
-        }
-        if (!value.is_illegal()) {
-          continue;
-        }
-        const auto prev_it = visible.find(sink);
-        const bool was_illegal =
-            prev_it != visible.end() && prev_it->second.is_illegal();
-        if (!was_illegal) {
-          prediction.conflicts.push_back(rtl::Conflict{sink, step, phase});
-        }
-      }
-      visible = std::move(next_visible);
-
-      if (phase == Phase::kCm) {
-        for (auto& [name, module] : modules) {
-          std::vector<AbsValue> operands(module.decl().num_inputs(),
-                                         AbsValue::disc());
-          for (unsigned port = 0; port < operands.size(); ++port) {
-            const auto it =
-                visible.find(to_string(Endpoint::module_in(name, port)));
-            if (it != visible.end()) {
-              operands[port] = it->second;
-            }
-          }
-          AbsValue op = AbsValue::disc();
-          if (module.decl().has_op_port()) {
-            const auto it = visible.find(to_string(Endpoint::module_op(name)));
-            if (it != visible.end()) {
-              op = it->second;
-            }
-          }
-          module.step(operands, op);
-        }
-      } else if (phase == Phase::kCr) {
-        for (auto& [name, value] : registers) {
-          const auto it = visible.find(to_string(Endpoint::register_in(name)));
-          if (it != visible.end() && !it->second.is_disc()) {
-            value = it->second;
-          }
-        }
-      }
-    }
-    visible.clear();
-  }
-
-  std::sort(prediction.conflicts.begin(), prediction.conflicts.end(),
-            [](const rtl::Conflict& a, const rtl::Conflict& b) {
-              return std::tuple(a.step, a.phase, a.signal) <
-                     std::tuple(b.step, b.phase, b.signal);
-            });
+  prediction.conflicts = std::move(walk.conflicts);
+  prediction.disc_sites = std::move(domain.disc_sites);
   std::sort(prediction.disc_sites.begin(), prediction.disc_sites.end());
-  for (const auto& [name, value] : registers) {
+  for (const auto& [name, value] : walk.registers) {
     prediction.registers[name] = value.classification();
   }
   return prediction;

@@ -18,16 +18,16 @@ namespace ctrtl::gen {
 /// DISC/ILLEGAL/value classification of each register.
 ///
 /// The paper's tuple <-> TRANS mapping (section 2.7) makes each fire's
-/// level syntactically known, so the oracle abstractly interprets the same
-/// six-phase transition system as `verify::evaluate` over the three-point
-/// domain {DISC, value, ILLEGAL} plus known constant payloads. The
-/// abstraction is *exact* for this model class because every rule that
-/// separates the classes — the section 2.3 resolution function, the module
-/// operand discipline, pipeline poisoning, register latching — depends only
-/// on the class of its inputs, never on a payload. The single exception is
-/// the operation-port arity lookup, which needs the op's concrete code;
-/// op ports are fed by op constants (or fault-plan constants), whose
-/// payloads the stream carries syntactically. A stream that drives an op
+/// level syntactically known, so the oracle runs the same six-phase
+/// transition system as `verify::evaluate` (`transfer::walk_phases`) over
+/// the three-point domain {DISC, value, ILLEGAL} plus known constant
+/// payloads. The abstraction is *exact* for this model class because every
+/// rule that separates the classes — the section 2.3 resolution function,
+/// the module operand discipline, pipeline poisoning, register latching —
+/// depends only on the class of its inputs, never on a payload. The single
+/// exception is the operation-port arity lookup, which needs the op's
+/// concrete code; op ports are fed by op constants (or fault-plan
+/// constants), whose payloads the stream carries syntactically. A stream that drives an op
 /// port from a payload the oracle cannot know statically (impossible via
 /// `to_instances` and `fault::apply_plan`) throws std::domain_error.
 ///

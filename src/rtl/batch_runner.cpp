@@ -76,11 +76,11 @@ BatchRunner::BatchRunner(std::shared_ptr<const transfer::CompiledDesign> design,
     throw std::invalid_argument("BatchRunner requires a compiled design");
   }
   // The per-instance reference path for this design: elaborate from the
-  // shared instance stream (faulted or not) and apply the instance's
+  // shared instance stream (faulted or not) onto the event kernel, which is
+  // independent of the plan the lanes execute, and apply the instance's
   // inputs. Used by run_one and by engine == kPerInstance.
   factory_ = [this](std::size_t instance) {
-    std::unique_ptr<RtModel> model =
-        transfer::build_model(*design_, options_.mode);
+    std::unique_ptr<RtModel> model = transfer::build_model(*design_);
     if (inputs_) {
       for (const auto& [name, value] : inputs_(instance)) {
         model->set_input(name, value);

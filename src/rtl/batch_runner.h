@@ -55,11 +55,6 @@ struct BatchRunOptions {
   /// derived from the worker count) so the work decomposition — and
   /// therefore every result bit — is identical for every worker count.
   std::size_t lane_block = 16;
-  /// Transfer mode for per-instance models elaborated from a
-  /// `CompiledDesign` (ignored by the factory constructor and by
-  /// `kCompiledLanes`, which is compiled by construction). The default runs
-  /// the event kernel, independent of the plan the lanes execute.
-  TransferMode mode = TransferMode::kDispatch;
   /// Cooperative cancellation poll. When set, the runner invokes it before
   /// starting each work unit (a lane block under `kCompiledLanes`, one
   /// instance under `kPerInstance`); once it returns true, every unit not
@@ -191,9 +186,10 @@ class BatchRunner {
 
   /// All instances share one pre-lowered design (`CompiledDesign::compile`),
   /// differing only in the inputs the provider sets. Supports both engines:
-  /// `kPerInstance` elaborates one model per instance from the shared
-  /// instance stream (validate once, elaborate N times), `kCompiledLanes`
-  /// shares the whole action table and runs SoA lane blocks.
+  /// `kPerInstance` elaborates one event-kernel model (`kDispatch`) per
+  /// instance from the shared instance stream (validate once, elaborate N
+  /// times), `kCompiledLanes` shares the whole action table and runs SoA
+  /// lane blocks.
   explicit BatchRunner(std::shared_ptr<const transfer::CompiledDesign> design,
                        BatchRunOptions options = {},
                        BatchInputProvider inputs = nullptr);

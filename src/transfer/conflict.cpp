@@ -5,7 +5,6 @@
 #include <set>
 #include <sstream>
 
-#include "rtl/modules.h"
 #include "transfer/mapping.h"
 
 namespace ctrtl::transfer {
@@ -26,49 +25,6 @@ std::string to_string(const DisciplineViolation& violation) {
       << violation.ports_required << " required operands";
   return out.str();
 }
-
-namespace {
-
-/// Required operand count for a module given the op code scheduled in a
-/// step (mirrors Module::arity_for of the concrete module classes).
-std::optional<unsigned> required_ports(const ModuleDecl& module,
-                                       std::optional<std::int64_t> op) {
-  if (!module.has_op_port()) {
-    return module.num_inputs();
-  }
-  if (!op.has_value()) {
-    // Op-port module with no op scheduled: any operand is a violation.
-    return 0;
-  }
-  switch (module.kind) {
-    case ModuleKind::kAlu: {
-      static const rtl::AluModule::OpTable kOps = rtl::make_standard_alu_ops();
-      const auto it = kOps.find(*op);
-      if (it == kOps.end()) {
-        return std::nullopt;  // unknown op: rejected by validate, not here
-      }
-      return it->second.arity;
-    }
-    case ModuleKind::kMacc:
-      switch (*op) {
-        case rtl::MaccModule::kOpClear:
-        case rtl::MaccModule::kOpHold:
-          return 0;
-        case rtl::MaccModule::kOpLoad:
-          return 1;
-        case rtl::MaccModule::kOpMac:
-          return 2;
-        default:
-          return std::nullopt;
-      }
-    case ModuleKind::kCordic:
-      return 1;
-    default:
-      return module.num_inputs();
-  }
-}
-
-}  // namespace
 
 AnalysisReport analyze(const Design& design) {
   AnalysisReport report;
@@ -122,9 +78,13 @@ AnalysisReport analyze(const Design& design) {
     if (module == nullptr) {
       continue;  // validate() reports this
     }
-    const std::optional<unsigned> required = required_ports(*module, u.op);
+    // An op-port module with no op scheduled must see no operand either.
+    const std::optional<unsigned> required =
+        module->has_op_port() && !u.op.has_value()
+            ? 0u
+            : operand_arity(*module, u.op.value_or(0));
     if (!required.has_value()) {
-      continue;
+      continue;  // unknown op: rejected by validate, not here
     }
     const unsigned driven = static_cast<unsigned>(u.ports.size());
     const bool idle_ok = driven == 0 && !u.op.has_value();

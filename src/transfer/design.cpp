@@ -48,6 +48,38 @@ bool ModuleDecl::has_op_port() const {
   }
 }
 
+std::optional<unsigned> operand_arity(const ModuleDecl& decl, std::int64_t op) {
+  switch (decl.kind) {
+    case ModuleKind::kAlu: {
+      static const rtl::AluModule::OpTable kOps = rtl::make_standard_alu_ops();
+      const auto it = kOps.find(op);
+      if (it == kOps.end()) {
+        return std::nullopt;
+      }
+      return it->second.arity;
+    }
+    case ModuleKind::kMacc:
+      switch (op) {
+        case rtl::MaccModule::kOpClear:
+        case rtl::MaccModule::kOpHold:
+          return 0;
+        case rtl::MaccModule::kOpLoad:
+          return 1;
+        case rtl::MaccModule::kOpMac:
+          return 2;
+        default:
+          return std::nullopt;
+      }
+    case ModuleKind::kCordic:
+      if (op != rtl::CordicModule::kOpSin && op != rtl::CordicModule::kOpCos) {
+        return std::nullopt;
+      }
+      return 1;
+    default:
+      return decl.num_inputs();
+  }
+}
+
 namespace {
 
 template <typename Decl>
@@ -102,23 +134,6 @@ void check_operand_source(const Design& design, const Endpoint& source,
     default:
       diags.error(context + ": operand source must be a register, constant, or input");
       break;
-  }
-}
-
-/// Whether `op` is an operation of the op-port kind `kind`: an entry of the
-/// standard ALU op table, a MACC clear/mac/load/hold, a CORDIC sin/cos.
-bool defines_op(ModuleKind kind, std::int64_t op) {
-  switch (kind) {
-    case ModuleKind::kAlu: {
-      static const rtl::AluModule::OpTable kAluOps = rtl::make_standard_alu_ops();
-      return kAluOps.contains(op);
-    }
-    case ModuleKind::kMacc:
-      return op >= rtl::MaccModule::kOpClear && op <= rtl::MaccModule::kOpHold;
-    case ModuleKind::kCordic:
-      return op == rtl::CordicModule::kOpSin || op == rtl::CordicModule::kOpCos;
-    default:
-      return false;
   }
 }
 
@@ -209,7 +224,7 @@ bool validate(const Design& design, common::DiagnosticBag& diags) {
       if (t.op.has_value() && !module->has_op_port()) {
         diags.error(context + ": op code on module '" + t.module +
                     "' which has no operation port");
-      } else if (t.op.has_value() && !defines_op(module->kind, *t.op)) {
+      } else if (t.op.has_value() && !operand_arity(*module, *t.op)) {
         diags.error(context + ": op code " + std::to_string(*t.op) +
                     " is not an operation of " + to_string(module->kind) +
                     " module '" + t.module + "'");

@@ -38,6 +38,13 @@ struct ModuleDecl {
   [[nodiscard]] bool has_op_port() const;
 };
 
+/// The operands a unit of `decl` consumes when its op port carries `op`:
+/// the ports the operand discipline (paper section 2.6) counts. A unit
+/// without an op port consumes all its inputs, whatever `op` is.
+/// std::nullopt when `op` is not an operation of `decl`'s kind.
+[[nodiscard]] std::optional<unsigned> operand_arity(const ModuleDecl& decl,
+                                                    std::int64_t op);
+
 struct RegisterDecl {
   std::string name;
   std::optional<std::int64_t> initial;

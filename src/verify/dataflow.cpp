@@ -1,17 +1,16 @@
 #include "verify/dataflow.h"
 
 #include <algorithm>
-#include <deque>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "rtl/modules.h"
 #include "transfer/mapping.h"
+#include "transfer/walk.h"
 
 namespace ctrtl::verify {
 
-using rtl::Phase;
-using transfer::Endpoint;
 using transfer::TransInstance;
 
 DfExprPtr DfExpr::disc() {
@@ -108,188 +107,99 @@ bool equivalent(const DfExprPtr& a, const DfExprPtr& b) {
 
 namespace {
 
-/// Symbolic analog of transfer::ModuleSim.
-class SymbolicUnit {
- public:
-  explicit SymbolicUnit(const transfer::ModuleDecl& decl) : decl_(&decl) {
-    pipeline_.assign(decl.latency, DfExpr::disc());
+/// `transfer::walk_phases` over dataflow expressions.
+struct Symbolic {
+  using Value = DfExprPtr;
+
+  static Value disc() { return DfExpr::disc(); }
+  static Value illegal() { return DfExpr::illegal(); }
+  static bool is_disc(const Value& value) {
+    return value->kind == DfExpr::Kind::kDisc;
   }
-
-  [[nodiscard]] const DfExprPtr& out() const { return out_; }
-
-  DfExprPtr step(std::vector<DfExprPtr> operands, const DfExprPtr& op,
-                 bool& saw_illegal) {
-    if (decl_->latency == 0) {
-      out_ = evaluate(std::move(operands), op, saw_illegal);
-      return out_;
-    }
-    out_ = pipeline_.back();
-    const DfExprPtr next =
-        poisoned_ ? DfExpr::illegal() : evaluate(std::move(operands), op, saw_illegal);
-    pipeline_.pop_back();
-    pipeline_.push_front(next);
-    if (next->kind == DfExpr::Kind::kIllegal) {
-      poisoned_ = true;
-    }
-    return out_;
+  static bool is_illegal(const Value& value) {
+    return value->kind == DfExpr::Kind::kIllegal;
   }
-
- private:
-  [[nodiscard]] DfExprPtr evaluate(std::vector<DfExprPtr> operands,
-                                   const DfExprPtr& op, bool& saw_illegal) {
-    const auto illegal = [&] {
-      saw_illegal = true;
-      return DfExpr::illegal();
-    };
-    for (const DfExprPtr& operand : operands) {
-      if (operand->kind == DfExpr::Kind::kIllegal) {
-        return illegal();
-      }
-    }
-    const bool has_op = decl_->has_op_port();
-    std::int64_t op_code = 0;
-    if (has_op) {
-      if (op->kind == DfExpr::Kind::kIllegal) {
-        return illegal();
-      }
-      if (op->kind == DfExpr::Kind::kDisc) {
-        for (const DfExprPtr& operand : operands) {
-          if (operand->kind != DfExpr::Kind::kDisc) {
-            return illegal();
-          }
-        }
-        return decl_->kind == transfer::ModuleKind::kMacc ? acc_ : DfExpr::disc();
-      }
-      if (op->kind != DfExpr::Kind::kConstant) {
-        throw std::invalid_argument(
-            "symbolic execution: op codes must be literal constants");
-      }
-      op_code = op->constant;
-    }
-    const unsigned arity = arity_for(op_code);
-    unsigned present = 0;
-    for (unsigned i = 0; i < arity && i < operands.size(); ++i) {
-      if (operands[i]->kind != DfExpr::Kind::kDisc) {
-        ++present;
-      }
-    }
-    if (present == 0 && !has_op) {
-      return DfExpr::disc();
-    }
-    if (present != arity) {
-      return illegal();
-    }
-    operands.resize(arity);
-    return apply(std::move(operands), op_code);
+  static Value constant(std::int64_t value) { return DfExpr::literal(value); }
+  static Value input(const std::string& name) { return DfExpr::input(name); }
+  static Value resolve(std::span<const Value> values) {
+    return transfer::resolve_contributions<Symbolic>(values);
   }
+  static void resolved(const std::string& /*sink*/, unsigned /*step*/,
+                       rtl::Phase /*phase*/, const Value& /*value*/) {}
 
-  [[nodiscard]] unsigned arity_for(std::int64_t op_code) const {
-    switch (decl_->kind) {
-      case transfer::ModuleKind::kAlu: {
-        static const rtl::AluModule::OpTable kOps = rtl::make_standard_alu_ops();
-        return kOps.at(op_code).arity;
-      }
-      case transfer::ModuleKind::kMacc:
-        switch (op_code) {
-          case rtl::MaccModule::kOpClear:
-          case rtl::MaccModule::kOpHold:
-            return 0;
-          case rtl::MaccModule::kOpLoad:
-            return 1;
-          default:
-            return 2;
-        }
-      case transfer::ModuleKind::kCordic:
-        return 1;
-      default:
-        return decl_->num_inputs();
+  static std::int64_t op_code(const transfer::ModuleDecl& /*decl*/, const Value& op) {
+    if (op->kind != DfExpr::Kind::kConstant) {
+      throw std::invalid_argument(
+          "symbolic execution: op codes must be literal constants");
     }
+    return op->constant;
   }
-
-  [[nodiscard]] DfExprPtr apply(std::vector<DfExprPtr> v, std::int64_t op_code) {
-    const std::string mul_name = "mul" + std::to_string(decl_->frac_bits);
-    switch (decl_->kind) {
-      case transfer::ModuleKind::kAdd:
-        return DfExpr::make("add", std::move(v));
-      case transfer::ModuleKind::kSub:
-        return DfExpr::make("sub", std::move(v));
-      case transfer::ModuleKind::kMul:
-        return DfExpr::make(mul_name, std::move(v));
-      case transfer::ModuleKind::kCopy:
-        return v[0];  // copies vanish (the direct-link helper is transparent)
-      case transfer::ModuleKind::kAlu:
-        switch (op_code) {
-          case rtl::alu_ops::kAdd:
-            return DfExpr::make("add", std::move(v));
-          case rtl::alu_ops::kSub:
-            return DfExpr::make("sub", std::move(v));
-          case rtl::alu_ops::kMin:
-            return DfExpr::make("min", std::move(v));
-          case rtl::alu_ops::kMax:
-            return DfExpr::make("max", std::move(v));
-          case rtl::alu_ops::kPassA:
-            return v[0];
-          case rtl::alu_ops::kPassB:
-            return v[1];
-          case rtl::alu_ops::kNegA:
-            return DfExpr::make("neg", std::move(v));
-          default:
-            if (op_code >= rtl::alu_ops::kRshiftBase &&
-                op_code <= rtl::alu_ops::kRshiftMax) {
-              return DfExpr::make(
-                  "asr" + std::to_string(op_code - rtl::alu_ops::kRshiftBase),
-                  std::move(v));
-            }
-            throw std::invalid_argument("symbolic execution: unknown ALU op");
-        }
-      case transfer::ModuleKind::kMacc:
-        switch (op_code) {
-          case rtl::MaccModule::kOpClear:
-            acc_ = DfExpr::literal(0);
-            break;
-          case rtl::MaccModule::kOpHold:
-            break;
-          case rtl::MaccModule::kOpLoad:
-            acc_ = v[0];
-            break;
-          default:
-            // MACC steps normalize to add/mul nodes so accumulations
-            // compare equal to the same computation on ALU + MULT units.
-            acc_ = DfExpr::make(
-                "add", {acc_, DfExpr::make(mul_name, std::move(v))});
-            break;
-        }
-        return acc_;
-      case transfer::ModuleKind::kCordic:
-        return DfExpr::make(
-            op_code == rtl::CordicModule::kOpSin ? "sin" : "cos", std::move(v));
-    }
-    throw std::logic_error("symbolic execution: corrupt module kind");
+  /// MACC holds its accumulator when idle.
+  static Value idle(const transfer::ModuleDecl& decl, const Value& acc) {
+    return decl.kind == transfer::ModuleKind::kMacc ? acc : disc();
   }
-
-  const transfer::ModuleDecl* decl_;
-  std::deque<DfExprPtr> pipeline_;
-  DfExprPtr out_ = DfExpr::disc();
-  DfExprPtr acc_ = DfExpr::literal(0);
-  bool poisoned_ = false;
+  static Value apply(const transfer::ModuleDecl& decl, Value& acc,
+                     std::span<const Value> operands, std::int64_t op);
 };
 
-DfExprPtr resolve_symbolic(const std::vector<DfExprPtr>& contributions,
-                           bool& saw_illegal) {
-  DfExprPtr unique = DfExpr::disc();
-  bool found = false;
-  for (const DfExprPtr& value : contributions) {
-    if (value->kind == DfExpr::Kind::kDisc) {
-      continue;
-    }
-    if (value->kind == DfExpr::Kind::kIllegal || found) {
-      saw_illegal = true;
-      return DfExpr::illegal();
-    }
-    unique = value;
-    found = true;
+Symbolic::Value Symbolic::apply(const transfer::ModuleDecl& decl, Value& acc,
+                                std::span<const Value> operands, std::int64_t op) {
+  std::vector<DfExprPtr> v(operands.begin(), operands.end());
+  const std::string mul_name = "mul" + std::to_string(decl.frac_bits);
+  switch (decl.kind) {
+    case transfer::ModuleKind::kAdd:
+      return DfExpr::make("add", std::move(v));
+    case transfer::ModuleKind::kSub:
+      return DfExpr::make("sub", std::move(v));
+    case transfer::ModuleKind::kMul:
+      return DfExpr::make(mul_name, std::move(v));
+    case transfer::ModuleKind::kCopy:
+      return v[0];  // copies vanish (the direct-link helper is transparent)
+    case transfer::ModuleKind::kAlu:
+      switch (op) {
+        case rtl::alu_ops::kAdd:
+          return DfExpr::make("add", std::move(v));
+        case rtl::alu_ops::kSub:
+          return DfExpr::make("sub", std::move(v));
+        case rtl::alu_ops::kMin:
+          return DfExpr::make("min", std::move(v));
+        case rtl::alu_ops::kMax:
+          return DfExpr::make("max", std::move(v));
+        case rtl::alu_ops::kPassA:
+          return v[0];
+        case rtl::alu_ops::kPassB:
+          return v[1];
+        case rtl::alu_ops::kNegA:
+          return DfExpr::make("neg", std::move(v));
+        default:
+          if (op >= rtl::alu_ops::kRshiftBase && op <= rtl::alu_ops::kRshiftMax) {
+            return DfExpr::make("asr" + std::to_string(op - rtl::alu_ops::kRshiftBase),
+                                std::move(v));
+          }
+          throw std::invalid_argument("symbolic execution: unknown ALU op");
+      }
+    case transfer::ModuleKind::kMacc:
+      switch (op) {
+        case rtl::MaccModule::kOpClear:
+          acc = DfExpr::literal(0);
+          break;
+        case rtl::MaccModule::kOpHold:
+          break;
+        case rtl::MaccModule::kOpLoad:
+          acc = v[0];
+          break;
+        default:
+          // MACC steps normalize to add/mul nodes so accumulations
+          // compare equal to the same computation on ALU + MULT units.
+          acc = DfExpr::make("add", {acc, DfExpr::make(mul_name, std::move(v))});
+          break;
+      }
+      return acc;
+    case transfer::ModuleKind::kCordic:
+      return DfExpr::make(op == rtl::CordicModule::kOpSin ? "sin" : "cos",
+                          std::move(v));
   }
-  return unique;
+  throw std::logic_error("symbolic execution: corrupt module kind");
 }
 
 }  // namespace
@@ -300,109 +210,13 @@ DataflowResult extract_dataflow(const transfer::Design& design) {
     throw std::invalid_argument("extract_dataflow: design does not validate:\n" +
                                 diags.to_text());
   }
-
-  DataflowResult result;
-  std::map<std::string, DfExprPtr> registers;
-  for (const transfer::RegisterDecl& reg : design.registers) {
-    registers[reg.name] = reg.initial.has_value()
-                              ? DfExpr::literal(*reg.initial)
-                              : DfExpr::disc();
-  }
-  std::map<std::string, DfExprPtr> constants;
-  for (const transfer::ConstantDecl& constant : design.constants) {
-    constants[constant.name] = DfExpr::literal(constant.value);
-  }
-  std::map<std::string, SymbolicUnit> units;
-  for (const transfer::ModuleDecl& module : design.modules) {
-    units.emplace(module.name, SymbolicUnit(module));
-  }
-
   const std::vector<TransInstance> instances =
       transfer::to_instances(design.transfers);
-
-  std::map<std::string, DfExprPtr> visible;
-
-  const auto source_value = [&](const Endpoint& source) -> DfExprPtr {
-    switch (source.kind) {
-      case Endpoint::Kind::kRegisterOut:
-        return registers.at(source.resource);
-      case Endpoint::Kind::kConstant: {
-        const auto it = constants.find(source.resource);
-        if (it != constants.end()) {
-          return it->second;
-        }
-        std::int64_t code = 0;
-        if (transfer::parse_op_constant_name(source.resource, code)) {
-          return DfExpr::literal(code);
-        }
-        throw std::logic_error("extract_dataflow: unknown constant");
-      }
-      case Endpoint::Kind::kInput:
-        return DfExpr::input(source.resource);
-      case Endpoint::Kind::kModuleOut:
-        return units.at(source.resource).out();
-      case Endpoint::Kind::kBus: {
-        const auto it = visible.find(source.resource);
-        return it == visible.end() ? DfExpr::disc() : it->second;
-      }
-      default:
-        throw std::logic_error("extract_dataflow: bad source endpoint");
-    }
-  };
-
-  for (unsigned step = 1; step <= design.cs_max; ++step) {
-    for (int phase_index = 0; phase_index < rtl::kPhasesPerStep; ++phase_index) {
-      const Phase phase = rtl::phase_from_index(phase_index);
-      std::map<std::string, std::vector<DfExprPtr>> contributions;
-      if (phase != rtl::kPhaseLow) {
-        const Phase drive_phase = rtl::pred(phase);
-        for (const TransInstance& instance : instances) {
-          if (instance.step == step && instance.phase == drive_phase) {
-            contributions[to_string(instance.sink)].push_back(
-                source_value(instance.source));
-          }
-        }
-      }
-      std::map<std::string, DfExprPtr> next_visible;
-      for (const auto& [sink, values] : contributions) {
-        next_visible[sink] = resolve_symbolic(values, result.saw_illegal);
-      }
-      visible = std::move(next_visible);
-
-      if (phase == Phase::kCm) {
-        for (auto& [name, unit] : units) {
-          const transfer::ModuleDecl* decl = design.find_module(name);
-          std::vector<DfExprPtr> operands(decl->num_inputs(), DfExpr::disc());
-          for (unsigned port = 0; port < operands.size(); ++port) {
-            const auto it =
-                visible.find(to_string(Endpoint::module_in(name, port)));
-            if (it != visible.end()) {
-              operands[port] = it->second;
-            }
-          }
-          DfExprPtr op = DfExpr::disc();
-          if (decl->has_op_port()) {
-            const auto it = visible.find(to_string(Endpoint::module_op(name)));
-            if (it != visible.end()) {
-              op = it->second;
-            }
-          }
-          unit.step(std::move(operands), op, result.saw_illegal);
-        }
-      } else if (phase == Phase::kCr) {
-        for (auto& [name, value] : registers) {
-          const auto it = visible.find(to_string(Endpoint::register_in(name)));
-          if (it != visible.end() && it->second->kind != DfExpr::Kind::kDisc) {
-            value = it->second;
-          }
-        }
-      }
-    }
-    visible.clear();
-  }
-
-  result.registers = std::move(registers);
-  return result;
+  Symbolic domain;
+  transfer::PhaseWalk<DfExprPtr> walk =
+      transfer::walk_phases(design, instances, domain);
+  return DataflowResult{std::move(walk.registers),
+                        !walk.conflicts.empty() || walk.unit_illegal};
 }
 
 DfExprPtr dfg_expr(const hls::Dfg& dfg, const hls::ValueRef& ref) {

@@ -58,8 +58,9 @@ struct DataflowResult {
   bool saw_illegal = false;
 };
 
-/// Symbolic execution of the schedule with the same timing discipline as
-/// the reference semantics: MACC accumulations normalize to add/mul nodes,
+/// Symbolic execution of the schedule: the reference semantics' transition
+/// system (`transfer::walk_phases`) over dataflow expressions, where MACC
+/// accumulations normalize to add/mul nodes,
 /// copies vanish, ALU ops name themselves — so dataflows are comparable
 /// across different schedules, bindings, and module choices.
 /// Throws std::invalid_argument when the design does not validate.

@@ -40,8 +40,9 @@ struct Resolution {
 using ResolutionObserver = std::function<void(const Resolution&)>;
 
 /// The paper's *dedicated formal semantics* of register transfer models
-/// (section 2.7), implemented as a direct transition system over
-/// (step, phase) — deliberately **without** the event-driven kernel.
+/// (section 2.7): `transfer::walk_phases`, the transition system over
+/// (step, phase), run over concrete values — deliberately **without** the
+/// event-driven kernel.
 ///
 /// Each control step evaluates its six phases in order; a value driven by a
 /// TRANS instance at phase p is visible at phase succ(p); buses and ports

@@ -87,22 +87,26 @@ TEST_P(FaultSweepTest, AllEnginesAgreeUnderEveryFaultKind) {
         << "seed " << GetParam() << ", plan:\n"
         << to_text(plan) << report.to_text();
 
-    // The per-instance models a BatchRunner elaborates from the compiled
-    // design must run the faulted stream too, in every transfer mode.
+    // Models elaborated from the compiled design must run the faulted
+    // stream too, in every transfer mode, and so must the per-instance
+    // models a BatchRunner elaborates from it.
     auto event_model = build_model(*faulted);
     const rtl::InstanceResult event = rtl::run_instance(*event_model);
     const auto compiled = compile(*faulted);
     for (const rtl::TransferMode mode :
          {rtl::TransferMode::kProcessPerTransfer, rtl::TransferMode::kDispatch,
           rtl::TransferMode::kCompiled}) {
-      const rtl::BatchRunResult batch =
-          rtl::BatchRunner(compiled, {.workers = 1, .mode = mode}).run(1);
-      ASSERT_EQ(batch.instances.size(), 1u);
-      EXPECT_EQ(batch.instances[0], event)
+      EXPECT_EQ(rtl::run_instance(*transfer::build_model(*compiled, mode)), event)
           << "seed " << GetParam() << ", mode " << static_cast<int>(mode)
           << ", plan:\n"
           << to_text(plan);
     }
+    const rtl::BatchRunResult batch =
+        rtl::BatchRunner(compiled, {.workers = 1}).run(1);
+    ASSERT_EQ(batch.instances.size(), 1u);
+    EXPECT_EQ(batch.instances[0], event)
+        << "seed " << GetParam() << ", plan:\n"
+        << to_text(plan);
   }
 }
 

@@ -6,9 +6,12 @@
 
 #include "fault/inject.h"
 #include "fault/plan.h"
+#include "rtl/modules.h"
 #include "transfer/design.h"
 #include "transfer/tuple.h"
+#include "verify/dataflow.h"
 #include "verify/oracle_check.h"
+#include "verify/semantics.h"
 
 namespace ctrtl::gen {
 namespace {
@@ -201,6 +204,46 @@ TEST(ConflictOracle, InputsActAsPresenceSet) {
   const verify::CheckReport without_input =
       verify::check_prediction(design, missing);
   EXPECT_TRUE(without_input.consistent()) << without_input.to_text();
+}
+
+TEST(ConflictOracle, IdleMaccHoldsItsAccumulatorInEveryDomain) {
+  // The MACC clears at step 1 and accumulates A * B at step 2. At steps 3
+  // and 4 it sees neither operand nor op, so it is idle and holds 12, which
+  // a write-only transfer reads at step 4. The reference semantics, the
+  // dataflow extractor and the oracle must all see the held value, and the
+  // event kernel must agree with them.
+  Design design;
+  design.name = "idle_macc";
+  design.cs_max = 4;
+  design.registers = {{"A", 3}, {"B", 4}, {"OUT", std::nullopt}};
+  design.buses = {{"B1"}, {"B2"}, {"B3"}};
+  design.modules = {{"MACC", ModuleKind::kMacc, 1, 0}};
+  RegisterTransfer clear;
+  clear.read_step = 1;
+  clear.module = "MACC";
+  clear.op = rtl::MaccModule::kOpClear;
+  RegisterTransfer mac;
+  mac.operand_a = OperandPath{Endpoint::register_out("A"), "B1"};
+  mac.operand_b = OperandPath{Endpoint::register_out("B"), "B2"};
+  mac.read_step = 2;
+  mac.module = "MACC";
+  mac.op = rtl::MaccModule::kOpMac;
+  RegisterTransfer write;
+  write.module = "MACC";
+  write.write_step = 4;
+  write.write_bus = "B3";
+  write.destination = "OUT";
+  design.transfers = {clear, mac, write};
+  common::DiagnosticBag diags;
+  ASSERT_TRUE(transfer::validate(design, diags)) << diags.to_text();
+
+  EXPECT_EQ(verify::evaluate(design).registers.at("OUT"), rtl::RtValue::of(12));
+  EXPECT_EQ(verify::canonical(verify::extract_dataflow(design).registers.at("OUT")),
+            "add(0,mul0(3,4))");
+  const verify::OutcomePrediction oracle = predict_outcomes(design);
+  EXPECT_EQ(oracle.registers.at("OUT"), rtl::RtValue::Kind::kValue);
+  const verify::CheckReport report = verify::check_prediction(design, oracle);
+  EXPECT_TRUE(report.consistent()) << report.to_text();
 }
 
 TEST(ConflictOracle, RejectsInvalidDesign) {

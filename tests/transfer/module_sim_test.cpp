@@ -65,14 +65,16 @@ TEST(ModuleSim, IllegalOperandIsIllegal) {
 TEST(ModuleSim, AluOpSelectAndArity) {
   const ModuleDecl decl{"ALU", ModuleKind::kAlu, 1};
   ModuleSim sim(decl);
-  EXPECT_EQ(sim.arity_for(rtl::alu_ops::kAdd), 2u);
-  EXPECT_EQ(sim.arity_for(rtl::alu_ops::kPassA), 1u);
+  EXPECT_EQ(operand_arity(decl, rtl::alu_ops::kAdd), 2u);
+  EXPECT_EQ(operand_arity(decl, rtl::alu_ops::kPassA), 1u);
   EXPECT_EQ(sim.evaluate(vals({9, 4}), RtValue::of(rtl::alu_ops::kSub)),
             RtValue::of(5));
   std::vector<RtValue> unary = {RtValue::of(80), kDisc};
   EXPECT_EQ(sim.evaluate(unary, RtValue::of(rtl::alu_ops::kRshiftBase + 3)),
             RtValue::of(10));
-  EXPECT_THROW((void)sim.arity_for(999), std::domain_error);
+  EXPECT_FALSE(operand_arity(decl, 999).has_value());
+  EXPECT_THROW((void)sim.evaluate(vals({9, 4}), RtValue::of(999)),
+               std::domain_error);
 }
 
 TEST(ModuleSim, AluOperandWithoutOpIsIllegal) {

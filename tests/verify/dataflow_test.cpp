@@ -66,6 +66,19 @@ TEST(ExtractDataflow, ConflictSurfacesSymbolically) {
   EXPECT_EQ(canonical(result.registers.at("R1")), "ILLEGAL");
 }
 
+TEST(ExtractDataflow, UnreadDisciplineViolationStillCounts) {
+  // ADD receives one operand of two at step 5 and nothing reads its output:
+  // no sink ever resolves to ILLEGAL, yet the unit computed it.
+  Design d = fig1_design();
+  d.transfers[0].operand_b.reset();
+  d.transfers[0].write_step.reset();
+  d.transfers[0].write_bus.reset();
+  d.transfers[0].destination.reset();
+  const DataflowResult result = extract_dataflow(d);
+  EXPECT_TRUE(result.saw_illegal);
+  EXPECT_EQ(canonical(result.registers.at("R1")), "30");
+}
+
 TEST(ExtractDataflow, CopiesAreTransparent) {
   Design d;
   d.cs_max = 3;
