@@ -1,11 +1,12 @@
 // Experiment E7 (paper section 4, future work made real): the automatic
-// control-step -> clock-scheme translation. Measures planning, clocked
-// model construction, and the clocked simulation itself, plus the full
-// equivalence check (abstract trace vs clocked trace).
+// control-step -> clock-scheme translation. Measures planning, the clocked
+// simulation under the two-cycles-per-step scheme (bench_vs_clocked's
+// BM_ClockedRtl times the one-cycle scheme), and the full equivalence check
+// (abstract trace vs clocked trace).
 
 #include <benchmark/benchmark.h>
 
-#include "clocked/model.h"
+#include "baseline/clocked_rtl.h"
 #include "transfer/build.h"
 #include "verify/equivalence.h"
 #include "verify/random_design.h"
@@ -31,23 +32,6 @@ void BM_PlanTranslation(benchmark::State& state) {
 }
 BENCHMARK(BM_PlanTranslation)->Arg(8)->Arg(64)->Arg(512);
 
-void BM_ClockedSimulation(benchmark::State& state) {
-  const transfer::Design design =
-      workload(static_cast<unsigned>(state.range(0)));
-  const clocked::TranslationPlan plan = clocked::plan_translation(design);
-  std::uint64_t fs = 0;
-  for (auto _ : state) {
-    clocked::ClockedModel model(plan);
-    const clocked::ClockedModel::Result result = model.run();
-    fs = result.elapsed_fs;
-    benchmark::DoNotOptimize(result);
-  }
-  state.counters["clock_cycles"] = plan.clock_cycles;
-  state.counters["simulated_fs"] = static_cast<double>(fs);
-  state.SetItemsProcessed(state.iterations() * plan.clock_cycles);
-}
-BENCHMARK(BM_ClockedSimulation)->Arg(8)->Arg(64)->Arg(512);
-
 void BM_TwoPhaseClockedSimulation(benchmark::State& state) {
   // The alternative clock scheme (two cycles per control step): same
   // observable behaviour, twice the cycles — the cycle-count cost of a
@@ -57,9 +41,8 @@ void BM_TwoPhaseClockedSimulation(benchmark::State& state) {
   const clocked::TranslationPlan plan = clocked::plan_translation(design);
   unsigned cycles = 0;
   for (auto _ : state) {
-    clocked::ClockedModel model(plan, 1'000'000,
-                                clocked::ClockScheme::kTwoCyclesPerStep);
-    const clocked::ClockedModel::Result result = model.run();
+    baseline::ClockedRtlSim sim(plan, clocked::ClockScheme::kTwoCyclesPerStep);
+    const baseline::ClockedRtlSim::Result result = sim.run();
     cycles = result.clock_cycles;
     benchmark::DoNotOptimize(result);
   }
@@ -78,10 +61,10 @@ void BM_FullEquivalenceCheck(benchmark::State& state) {
     auto abstract = transfer::build_model(design);
     verify::RegisterWriteTrace trace(*abstract);
     abstract->run();
-    clocked::ClockedModel model(plan);
-    model.run();
+    baseline::ClockedRtlSim sim(plan);
+    sim.run();
     const verify::CheckReport report = verify::compare_write_traces(
-        trace.writes(), model.writes(), /*ignore_preload=*/true);
+        trace.writes(), sim.writes(), /*ignore_preload=*/true);
     if (!report.consistent()) {
       state.SkipWithError("translation not equivalent");
     }

@@ -13,7 +13,7 @@
 
 #include <cstdio>
 
-#include "clocked/model.h"
+#include "baseline/clocked_rtl.h"
 #include "hls/emit.h"
 #include "transfer/build.h"
 #include "verify/equivalence.h"
@@ -74,19 +74,19 @@ int main() {
 
   // Translate to the clocked implementation and re-simulate.
   const clocked::TranslationPlan plan = clocked::plan_translation(emitted.design);
-  clocked::ClockedModel clocked_model(plan);
+  baseline::ClockedRtlSim clocked_rtl(plan);
   for (const auto& [name, value] : inputs) {
-    clocked_model.set_input(name, rtl::RtValue::of(value));
+    clocked_rtl.set_input(name, rtl::RtValue::of(value));
   }
-  const clocked::ClockedModel::Result clocked_result = clocked_model.run();
+  const baseline::ClockedRtlSim::Result clocked_result = clocked_rtl.run();
   const rtl::RtValue f_clocked =
-      clocked_model.register_value(emitted.output_registers.at("f"));
+      clocked_rtl.register_value(emitted.output_registers.at("f"));
   std::printf("clocked model  : f(6,4) = %s, %u clock cycles, %llu fs\n",
               rtl::to_string(f_clocked).c_str(), clocked_result.clock_cycles,
               static_cast<unsigned long long>(clocked_result.elapsed_fs));
 
   const verify::CheckReport traces = verify::compare_write_traces(
-      abstract_trace.writes(), clocked_model.writes(), /*ignore_preload=*/true);
+      abstract_trace.writes(), clocked_rtl.writes(), /*ignore_preload=*/true);
   std::printf("write traces   : %s\n",
               traces.consistent() ? "equivalent" : traces.to_text().c_str());
 

@@ -1,5 +1,8 @@
 #include "baseline/clocked_rtl.h"
 
+#include <algorithm>
+#include <array>
+#include <limits>
 #include <set>
 #include <stdexcept>
 
@@ -11,10 +14,12 @@ using rtl::RtValue;
 using RtSig = kernel::Signal<RtValue>;
 
 struct ClockedRtlSim::Impl {
-  clocked::TranslationPlan plan;  // owned copy (points into the caller's Design)
+  clocked::TranslationPlan plan;  // owned copy: units point into its design
+  bool two_cycle = false;
 
   kernel::Signal<bool>* clk = nullptr;
   kernel::DriverId clk_driver = 0;
+  std::array<kernel::SignalBase*, 1> clk_sensitivity{};
   kernel::Signal<unsigned>* step = nullptr;
   kernel::DriverId step_driver = 0;
 
@@ -29,12 +34,12 @@ struct ClockedRtlSim::Impl {
 
   struct Unit {
     std::string name;
-    transfer::ModuleSim sim;
+    transfer::ModuleSim sim;  // evaluates only: `stages` is the pipeline
     const std::map<unsigned, clocked::ModuleActivation>* schedule = nullptr;
     RtSig* out = nullptr;  // flop output (latency >= 1) or comb output (0)
     kernel::DriverId out_driver = 0;
-    std::vector<RtValue> stages;  // internal pipeline stages (latency - 1)
-    explicit Unit(const transfer::ModuleDecl& decl) : sim(decl) {}
+    std::vector<RtValue> stages;  // internal pipeline stages
+    explicit Unit(const transfer::ModuleDecl& decl) : sim(decl, 1) {}
   };
   std::vector<std::unique_ptr<Unit>> units;
   std::map<std::string, Unit*> units_by_name;
@@ -105,34 +110,43 @@ namespace {
 
 using Impl = ClockedRtlSim::Impl;
 
+constexpr std::uint64_t kPeriodFs = ClockedRtlSim::kPeriodFs;
+
 kernel::Process clock_process(kernel::Signal<bool>& clk, kernel::DriverId driver,
-                              unsigned cycles, std::uint64_t period_fs) {
+                              unsigned cycles) {
   for (unsigned i = 0; i < cycles; ++i) {
     clk.drive(driver, true);
-    co_await kernel::wait_for_fs(period_fs / 2);
+    co_await kernel::wait_for_fs(kPeriodFs / 2);
     clk.drive(driver, false);
-    co_await kernel::wait_for_fs(period_fs - period_fs / 2);
+    co_await kernel::wait_for_fs(kPeriodFs - kPeriodFs / 2);
   }
 }
 
+kernel::WaitUntil rising_edge(const Impl& impl) {
+  return kernel::wait_until(impl.clk_sensitivity,
+                            [&clk = *impl.clk] { return clk.read(); });
+}
+
+/// The step counter advances on the edge that ends a step: every edge, or
+/// the latch edge of the two-cycle scheme.
 kernel::Process step_counter(Impl& impl) {
-  auto& clk = *impl.clk;
-  const std::vector<kernel::SignalBase*> sens = {&clk};
   for (;;) {
-    co_await kernel::wait_until(sens, [&clk] { return clk.read(); });
+    co_await rising_edge(impl);
+    if (impl.two_cycle) {
+      co_await rising_edge(impl);
+    }
     impl.step->drive(impl.step_driver, impl.step->read() + 1);
   }
 }
 
 /// Synchronous process of a pipelined unit: one evaluation and one pipeline
-/// shift per rising edge; the `out` signal models the final stage flop.
+/// shift per step, on its first rising edge; the `out` signal models the
+/// final stage flop.
 kernel::Process unit_sync(Impl& impl, Impl::Unit& unit) {
-  auto& clk = *impl.clk;
-  const std::vector<kernel::SignalBase*> sens = {&clk};
   std::vector<RtValue> operands;
   bool poisoned = false;
   for (;;) {
-    co_await kernel::wait_until(sens, [&clk] { return clk.read(); });
+    co_await rising_edge(impl);
     RtValue op = RtValue::disc();
     impl.gather_operands(unit, impl.step->read(), operands, op);
     const RtValue value =
@@ -150,6 +164,9 @@ kernel::Process unit_sync(Impl& impl, Impl::Unit& unit) {
       unit.stages[0] = value;
     }
     unit.out->drive(unit.out_driver, emit);
+    if (impl.two_cycle) {
+      co_await rising_edge(impl);
+    }
   }
 }
 
@@ -166,15 +183,16 @@ kernel::Process unit_comb(Impl& impl, Impl::Unit& unit) {
   }
 }
 
-/// Synchronous register: latches the selected unit output at the rising
-/// edge when a write is scheduled for the current step and the value is not
-/// DISC.
+/// Synchronous register: latches the selected unit output on the edge that
+/// ends a step when a write is scheduled for the current step and the value
+/// is not DISC.
 kernel::Process register_sync(Impl& impl, Impl::Reg& reg,
                               std::vector<verify::RegisterWrite>& writes) {
-  auto& clk = *impl.clk;
-  const std::vector<kernel::SignalBase*> sens = {&clk};
   for (;;) {
-    co_await kernel::wait_until(sens, [&clk] { return clk.read(); });
+    co_await rising_edge(impl);
+    if (impl.two_cycle) {
+      co_await rising_edge(impl);
+    }
     if (reg.writes == nullptr) {
       continue;
     }
@@ -195,23 +213,34 @@ kernel::Process register_sync(Impl& impl, Impl::Reg& reg,
   }
 }
 
+unsigned scheme_cycles(const clocked::TranslationPlan& plan,
+                       clocked::ClockScheme scheme) {
+  if (scheme == clocked::ClockScheme::kOneCyclePerStep) {
+    return plan.clock_cycles;
+  }
+  if (plan.clock_cycles > std::numeric_limits<unsigned>::max() / 2) {
+    throw std::invalid_argument(
+        "ClockedRtlSim: cs_max " + std::to_string(plan.design.cs_max) +
+        " needs more clock cycles at two per step than a count holds");
+  }
+  return 2 * plan.clock_cycles;
+}
+
 }  // namespace
 
 ClockedRtlSim::ClockedRtlSim(const clocked::TranslationPlan& plan,
-                             std::uint64_t period_fs)
+                             clocked::ClockScheme scheme)
     : scheduler_(std::make_unique<kernel::Scheduler>()),
       impl_(std::make_unique<Impl>()),
-      clock_cycles_(plan.clock_cycles),
-      period_fs_(period_fs) {
-  // Zero-latency units read their operands combinationally during the write
-  // cycle; pipelined units need one extra cycle for the value to traverse
-  // the final stage flop — covered by clock_cycles = cs_max + 1 either way.
+      clock_cycles_(scheme_cycles(plan, scheme)) {
   impl_->plan = plan;
+  impl_->two_cycle = scheme == clocked::ClockScheme::kTwoCyclesPerStep;
   const transfer::Design& design = impl_->plan.design;
   auto& sched = *scheduler_;
 
   impl_->clk = &sched.make_signal<bool>("clk", false);
   impl_->clk_driver = impl_->clk->add_driver(false);
+  impl_->clk_sensitivity = {impl_->clk};
   impl_->step = &sched.make_signal<unsigned>("step", 0u);
   impl_->step_driver = impl_->step->add_driver(0u);
 
@@ -241,8 +270,18 @@ ClockedRtlSim::ClockedRtlSim(const clocked::TranslationPlan& plan,
     unit->name = decl.name;
     unit->out = &sched.make_signal<RtValue>(decl.name + ".out", RtValue::disc());
     unit->out_driver = unit->out->add_driver(RtValue::disc());
+    // Registers sample a unit's `out` flop on the edge after the unit
+    // drove it, so a latency-L unit keeps L - 1 stages behind it with one
+    // cycle per step. With two, they sample on the latch edge of the same
+    // step, and it keeps L. Zero-latency units are combinational. A value
+    // never travels deeper than the run has steps, so longer pipelines are
+    // cut to that.
     if (decl.latency >= 1) {
-      unit->stages.assign(decl.latency - 1, RtValue::disc());
+      const std::uint64_t depth =
+          std::uint64_t{decl.latency} - (impl_->two_cycle ? 0 : 1);
+      unit->stages.assign(
+          std::min<std::uint64_t>(depth, impl_->plan.clock_cycles),
+          RtValue::disc());
     }
     const auto it = impl_->plan.module_schedule.find(decl.name);
     unit->schedule =
@@ -263,8 +302,8 @@ ClockedRtlSim::ClockedRtlSim(const clocked::TranslationPlan& plan,
   for (auto& reg : impl_->regs) {
     sched.spawn("reg." + reg->name, register_sync(*impl_, *reg, writes_));
   }
-  sched.spawn("clock", clock_process(*impl_->clk, impl_->clk_driver,
-                                     clock_cycles_, period_fs_));
+  sched.spawn("clock",
+              clock_process(*impl_->clk, impl_->clk_driver, clock_cycles_));
 }
 
 ClockedRtlSim::~ClockedRtlSim() {
@@ -273,10 +312,12 @@ ClockedRtlSim::~ClockedRtlSim() {
 
 ClockedRtlSim::Result ClockedRtlSim::run() {
   const kernel::KernelStats before = scheduler_->stats();
+  const std::uint64_t start_fs = scheduler_->now().fs;
   Result result;
   result.kernel_cycles = scheduler_->run();
   result.stats = scheduler_->stats() - before;
   result.clock_cycles = clock_cycles_;
+  result.elapsed_fs = scheduler_->now().fs - start_fs;
   return result;
 }
 

@@ -54,7 +54,9 @@ struct HandshakeModel::Impl {
     kernel::DriverId res_driver = 0;
     IdSig* ack = nullptr;
     kernel::DriverId ack_driver = 0;
-    explicit ModuleServer(const transfer::ModuleDecl& decl) : sim(decl) {}
+    // Results are produced within the handshake (`evaluate` only), so the
+    // unit needs no pipeline beyond the one stage a ModuleSim keeps.
+    explicit ModuleServer(const transfer::ModuleDecl& decl) : sim(decl, 1) {}
   };
   std::map<std::string, ModuleServer> modules;
 

@@ -1,6 +1,7 @@
 #include "clocked/translate.h"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -52,6 +53,12 @@ TranslationPlan plan_translation(const transfer::Design& design) {
       out << "  " << to_string(violation) << '\n';
     }
     throw std::invalid_argument(out.str());
+  }
+
+  if (design.cs_max == std::numeric_limits<unsigned>::max()) {
+    throw std::invalid_argument("plan_translation: cs_max " +
+                                std::to_string(design.cs_max) +
+                                " needs more clock cycles than a count holds");
   }
 
   TranslationPlan plan;

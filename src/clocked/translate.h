@@ -35,14 +35,27 @@ struct WriteSelect {
   friend bool operator==(const WriteSelect&, const WriteSelect&) = default;
 };
 
+/// How control steps map onto clock cycles — the paper: "of course, there
+/// are different ways to implement control steps."
+enum class ClockScheme : std::uint8_t {
+  /// One clock cycle per control step: units evaluate and registers latch
+  /// on the same edge (mux-based interconnect).
+  kOneCyclePerStep,
+  /// Two clock cycles per control step: a compute edge (units evaluate and
+  /// advance their pipelines) followed by a latch edge (registers commit).
+  /// Slower in cycles, looser timing per cycle — a second legal low-level
+  /// architecture for the same abstract model.
+  kTwoCyclesPerStep,
+};
+
 /// The control-step → clock-cycle translation of a design (the paper's
 /// "succeeding synthesis step ... performed by commercial synthesis tools").
 ///
-/// The chosen low-level architecture is one clock cycle per control step
-/// with mux-based interconnect: buses dissolve into operand/write
-/// multiplexers selected by a step counter, registers become D-flip-flops
-/// with hold paths, pipelined modules keep internal stage registers. This is
-/// one of the "several low-level architectures" the abstract model admits.
+/// Buses dissolve into operand/write multiplexers selected by a step
+/// counter, registers become D-flip-flops with hold paths, pipelined modules
+/// keep internal stage registers. A `ClockScheme` then fixes how many clock
+/// cycles one control step takes: each is one of the "several low-level
+/// architectures" the abstract model admits.
 struct TranslationPlan {
   /// Owned copy: the plan (and models built from it) are self-contained.
   transfer::Design design;
@@ -50,8 +63,8 @@ struct TranslationPlan {
   std::map<std::string, std::map<unsigned, ModuleActivation>> module_schedule;
   /// register name -> write mux entries (sorted by step)
   std::map<std::string, std::vector<WriteSelect>> register_schedule;
-  /// total clock cycles required: cs_max + 1 (final writes latch on the
-  /// edge that ends step cs_max)
+  /// clock cycles of the one-cycle scheme: cs_max + 1 (final writes latch
+  /// on the edge that ends step cs_max)
   unsigned clock_cycles = 0;
 
   [[nodiscard]] std::string to_text() const;
@@ -61,7 +74,8 @@ struct TranslationPlan {
 /// is clean — translating a schedule with resource conflicts would bake the
 /// bug into hardware, so it is rejected with std::invalid_argument (this is
 /// exactly the paper's point about catching conflicts at the abstract
-/// level).
+/// level). A cs_max whose cycle count does not fit `clock_cycles` is
+/// rejected the same way.
 [[nodiscard]] TranslationPlan plan_translation(const transfer::Design& design);
 
 }  // namespace ctrtl::clocked

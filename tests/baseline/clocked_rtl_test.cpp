@@ -2,14 +2,15 @@
 
 #include <gtest/gtest.h>
 
-#include "clocked/model.h"
-#include "transfer/build.h"
-#include "verify/equivalence.h"
+#include <sstream>
+#include <string>
+
 #include "verify/random_design.h"
 
 namespace ctrtl::baseline {
 namespace {
 
+using clocked::plan_translation;
 using transfer::Design;
 using transfer::ModuleKind;
 using transfer::RegisterTransfer;
@@ -26,27 +27,9 @@ Design fig1_design() {
   return d;
 }
 
-TEST(ClockedRtlSim, Fig1ComputesSameResult) {
-  const Design d = fig1_design();
-  ClockedRtlSim sim(clocked::plan_translation(d));
-  const ClockedRtlSim::Result result = sim.run();
-  EXPECT_EQ(sim.register_value("R1"), rtl::RtValue::of(42));
-  EXPECT_EQ(result.clock_cycles, 8u);
-  EXPECT_GT(sim.scheduler().now().fs, 0u) << "clocked: physical time advances";
-}
-
-TEST(ClockedRtlSim, WriteTraceMatchesSingleProcessModel) {
-  const Design d = fig1_design();
-  const clocked::TranslationPlan plan = clocked::plan_translation(d);
-  ClockedRtlSim multi(plan);
-  multi.run();
-  clocked::ClockedModel single(plan);
-  single.run();
-  EXPECT_TRUE(
-      verify::compare_write_traces(single.writes(), multi.writes()).consistent());
-}
-
-TEST(ClockedRtlSim, ZeroLatencyCombinationalPath) {
+/// A zero-latency COPY: its combinational output is written in the step
+/// it reads.
+Design copy_design() {
   Design d;
   d.cs_max = 3;
   d.registers = {{"A", 7}, {"OUT", std::nullopt}};
@@ -60,7 +43,11 @@ TEST(ClockedRtlSim, ZeroLatencyCombinationalPath) {
   t.write_bus = "B2";
   t.destination = "OUT";
   d.transfers = {t};
-  ClockedRtlSim sim(clocked::plan_translation(d));
+  return d;
+}
+
+TEST(ClockedRtlSim, ZeroLatencyCombinationalPath) {
+  ClockedRtlSim sim(plan_translation(copy_design()));
   sim.run();
   EXPECT_EQ(sim.register_value("OUT"), rtl::RtValue::of(7));
 }
@@ -72,7 +59,7 @@ TEST(ClockedRtlSim, PaysClockTrafficOnIdleCycles) {
   // measured in bench_vs_clocked.
   Design d = fig1_design();
   d.cs_max = 50;  // 49 idle steps
-  ClockedRtlSim sim(clocked::plan_translation(d));
+  ClockedRtlSim sim(plan_translation(d));
   const ClockedRtlSim::Result result = sim.run();
   // >= 2 clk events per cycle plus one step event.
   EXPECT_GE(result.stats.events, std::uint64_t{3} * result.clock_cycles);
@@ -82,34 +69,50 @@ TEST(ClockedRtlSim, PaysClockTrafficOnIdleCycles) {
   EXPECT_GT(sim.scheduler().now().fs, 0u);
 }
 
-class ClockedRtlAgreement : public ::testing::TestWithParam<int> {};
-
-TEST_P(ClockedRtlAgreement, MatchesAbstractModel) {
-  verify::RandomDesignOptions options;
-  options.seed = static_cast<std::uint32_t>(GetParam()) + 700;
-  options.num_transfers = 3 + static_cast<unsigned>(GetParam() % 8);
-  options.use_alu = GetParam() % 2 == 1;
-  const Design design = verify::random_design(options);
-
-  auto abstract = transfer::build_model(design);
-  verify::RegisterWriteTrace abstract_trace(*abstract);
-  ASSERT_TRUE(abstract->run().conflict_free());
-
-  ClockedRtlSim sim(clocked::plan_translation(design));
-  sim.run();
-
-  const verify::CheckReport report = verify::compare_write_traces(
-      abstract_trace.writes(), sim.writes(), /*ignore_preload=*/true);
-  EXPECT_TRUE(report.consistent()) << "seed " << GetParam() << ":\n"
-                                   << report.to_text();
-  for (const transfer::RegisterDecl& reg : design.registers) {
-    EXPECT_EQ(abstract->find_register(reg.name)->value(),
-              sim.register_value(reg.name))
-        << "register " << reg.name;
-  }
+// E6's `e6.clocked.*` rows time this simulator's one-cycle event traffic.
+// These counts pin it exactly, so a change to the simulator that alters
+// what E6 measures shows here first.
+std::string one_cycle_traffic(const Design& design) {
+  ClockedRtlSim sim(plan_translation(design));
+  const ClockedRtlSim::Result result = sim.run();
+  const kernel::KernelStats& stats = result.stats;
+  std::ostringstream out;
+  out << "clock_cycles " << result.clock_cycles << " kernel_cycles "
+      << result.kernel_cycles << " delta_cycles " << stats.delta_cycles
+      << " timed_cycles " << stats.timed_cycles << " events " << stats.events
+      << " updates " << stats.updates << " resumptions " << stats.resumptions
+      << " condition_rejects " << stats.condition_rejects << " transactions "
+      << stats.transactions << " waiter_visits " << stats.waiter_visits
+      << " observer_calls " << stats.observer_calls << " now_fs "
+      << sim.scheduler().now().fs;
+  return out.str();
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ClockedRtlAgreement, ::testing::Range(1, 16));
+TEST(ClockedRtlSim, OneCycleEventTrafficIsPinned) {
+  verify::RandomDesignOptions plain;
+  plain.seed = 1;
+  verify::RandomDesignOptions alu;
+  alu.seed = 3;
+  alu.use_alu = true;
+  EXPECT_EQ(one_cycle_traffic(fig1_design()),
+            "clock_cycles 8 kernel_cycles 40 delta_cycles 24 timed_cycles 16 "
+            "events 27 updates 33 resumptions 53 condition_rejects 32 "
+            "transactions 33 waiter_visits 64 observer_calls 0 now_fs 8000000");
+  EXPECT_EQ(one_cycle_traffic(verify::random_design(plain)),
+            "clock_cycles 21 kernel_cycles 105 delta_cycles 63 timed_cycles 42 "
+            "events 87 updates 134 resumptions 263 condition_rejects 210 "
+            "transactions 134 waiter_visits 420 observer_calls 0 "
+            "now_fs 21000000");
+  EXPECT_EQ(one_cycle_traffic(verify::random_design(alu)),
+            "clock_cycles 20 kernel_cycles 100 delta_cycles 60 timed_cycles 40 "
+            "events 84 updates 148 resumptions 272 condition_rejects 220 "
+            "transactions 148 waiter_visits 440 observer_calls 0 "
+            "now_fs 20000000");
+  EXPECT_EQ(one_cycle_traffic(copy_design()),
+            "clock_cycles 4 kernel_cycles 24 delta_cycles 16 timed_cycles 8 "
+            "events 15 updates 18 resumptions 29 condition_rejects 12 "
+            "transactions 18 waiter_visits 28 observer_calls 0 now_fs 4000000");
+}
 
 }  // namespace
 }  // namespace ctrtl::baseline

@@ -1,14 +1,18 @@
-#include "clocked/model.h"
-
 #include <gtest/gtest.h>
 
-#include "transfer/build.h"
-#include "verify/equivalence.h"
-#include "verify/random_design.h"
+#include <vector>
+
+#include "baseline/clocked_rtl.h"
+#include "clocked/translate.h"
 
 namespace ctrtl::clocked {
 namespace {
 
+// The clocked implementation of a translation plan, run by the one clocked
+// simulator, baseline::ClockedRtlSim: directed designs whose results are
+// known by hand.
+
+using baseline::ClockedRtlSim;
 using transfer::Design;
 using transfer::ModuleKind;
 using transfer::RegisterTransfer;
@@ -25,27 +29,26 @@ Design fig1_design() {
   return d;
 }
 
-TEST(ClockedModel, Fig1ComputesSameResult) {
+TEST(ClockedRtlSim, Fig1ComputesSameResult) {
   const Design d = fig1_design();
-  const TranslationPlan plan = plan_translation(d);
-  ClockedModel model(plan);
-  const ClockedModel::Result result = model.run();
-  EXPECT_EQ(model.register_value("R1"), rtl::RtValue::of(42));
-  EXPECT_EQ(model.register_value("R2"), rtl::RtValue::of(12));
+  ClockedRtlSim sim(plan_translation(d));
+  const ClockedRtlSim::Result result = sim.run();
+  EXPECT_EQ(sim.register_value("R1"), rtl::RtValue::of(42));
+  EXPECT_EQ(sim.register_value("R2"), rtl::RtValue::of(12));
   EXPECT_EQ(result.clock_cycles, 8u);
-  EXPECT_GT(result.elapsed_fs, 0u) << "the clocked model consumes physical time";
+  EXPECT_GT(result.elapsed_fs, 0u) << "clocked: physical time advances";
+  EXPECT_EQ(result.elapsed_fs, sim.scheduler().now().fs);
 }
 
-TEST(ClockedModel, WriteTraceTagsSteps) {
-  const Design d = fig1_design();
-  ClockedModel model(plan_translation(d));
-  model.run();
-  ASSERT_EQ(model.writes().size(), 1u);
-  EXPECT_EQ(model.writes()[0],
+TEST(ClockedRtlSim, WriteTraceTagsSteps) {
+  ClockedRtlSim sim(plan_translation(fig1_design()));
+  sim.run();
+  ASSERT_EQ(sim.writes().size(), 1u);
+  EXPECT_EQ(sim.writes()[0],
             (verify::RegisterWrite{6, "R1", rtl::RtValue::of(42)}));
 }
 
-TEST(ClockedModel, PipelinedMultiplierLatency) {
+TEST(ClockedRtlSim, PipelinedMultiplierLatency) {
   Design d;
   d.cs_max = 6;
   d.registers = {{"A", 6}, {"B", 7}, {"OUT", std::nullopt}};
@@ -53,12 +56,18 @@ TEST(ClockedModel, PipelinedMultiplierLatency) {
   d.modules = {{"MUL", ModuleKind::kMul, 2, 0}};
   d.transfers = {
       RegisterTransfer::full("A", "B1", "B", "B2", 1, "MUL", 3, "B1", "OUT")};
-  ClockedModel model(plan_translation(d));
-  model.run();
-  EXPECT_EQ(model.register_value("OUT"), rtl::RtValue::of(42));
+  for (const ClockScheme scheme :
+       {ClockScheme::kOneCyclePerStep, ClockScheme::kTwoCyclesPerStep}) {
+    ClockedRtlSim sim(plan_translation(d), scheme);
+    sim.run();
+    EXPECT_EQ(sim.register_value("OUT"), rtl::RtValue::of(42));
+    EXPECT_EQ(sim.writes(),
+              (std::vector<verify::RegisterWrite>{
+                  {3, "OUT", rtl::RtValue::of(42)}}));
+  }
 }
 
-TEST(ClockedModel, InputsWork) {
+TEST(ClockedRtlSim, InputsWork) {
   Design d;
   d.cs_max = 3;
   d.registers = {{"OUT", std::nullopt}};
@@ -74,57 +83,18 @@ TEST(ClockedModel, InputsWork) {
   t.write_bus = "B1";
   t.destination = "OUT";
   d.transfers = {t};
-  ClockedModel model(plan_translation(d));
-  model.set_input("x_in", rtl::RtValue::of(20));
-  model.set_input("y_in", rtl::RtValue::of(22));
-  model.run();
-  EXPECT_EQ(model.register_value("OUT"), rtl::RtValue::of(42));
+  ClockedRtlSim sim(plan_translation(d));
+  sim.set_input("x_in", rtl::RtValue::of(20));
+  sim.set_input("y_in", rtl::RtValue::of(22));
+  sim.run();
+  EXPECT_EQ(sim.register_value("OUT"), rtl::RtValue::of(42));
 }
 
-TEST(ClockedModel, UnknownNamesThrow) {
-  ClockedModel model(plan_translation(fig1_design()));
-  EXPECT_THROW(model.register_value("X"), std::invalid_argument);
-  EXPECT_THROW(model.set_input("X", rtl::RtValue::of(1)), std::invalid_argument);
+TEST(ClockedRtlSim, UnknownNamesThrow) {
+  ClockedRtlSim sim(plan_translation(fig1_design()));
+  EXPECT_THROW((void)sim.register_value("X"), std::invalid_argument);
+  EXPECT_THROW(sim.set_input("X", rtl::RtValue::of(1)), std::invalid_argument);
 }
-
-// --- E7: abstract vs clocked equivalence --------------------------------------
-// The paper: "The transformation into a usual synthesizable RT description
-// based on clock signals can be performed automatically." The observable
-// register-write traces of the two implementations must match exactly.
-
-class AbstractClockedEquivalence : public ::testing::TestWithParam<int> {};
-
-TEST_P(AbstractClockedEquivalence, WriteTracesMatch) {
-  verify::RandomDesignOptions options;
-  options.seed = static_cast<std::uint32_t>(GetParam());
-  options.num_transfers = 4 + static_cast<unsigned>(GetParam() % 8);
-  options.use_alu = GetParam() % 3 == 0;
-  const Design design = verify::random_design(options);
-
-  // Abstract clock-free execution.
-  auto abstract = transfer::build_model(design);
-  verify::RegisterWriteTrace abstract_trace(*abstract);
-  const rtl::RunResult abstract_result = abstract->run();
-  ASSERT_TRUE(abstract_result.conflict_free());
-
-  // Clocked execution of the translated design.
-  ClockedModel model(plan_translation(design));
-  model.run();
-
-  const verify::CheckReport report = verify::compare_write_traces(
-      abstract_trace.writes(), model.writes(), /*ignore_preload=*/true);
-  EXPECT_TRUE(report.consistent()) << "seed " << GetParam() << ":\n"
-                                   << report.to_text();
-
-  // And the final register contents agree.
-  for (const transfer::RegisterDecl& reg : design.registers) {
-    EXPECT_EQ(abstract->find_register(reg.name)->value(),
-              model.register_value(reg.name))
-        << "register " << reg.name << " (seed " << GetParam() << ")";
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, AbstractClockedEquivalence, ::testing::Range(1, 26));
 
 }  // namespace
 }  // namespace ctrtl::clocked

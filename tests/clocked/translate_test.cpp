@@ -46,7 +46,7 @@ TEST(PlanTranslation, RejectsConflictingSchedule) {
   Design d = fig1_design();
   d.transfers[0].operand_b->bus = "B1";  // bus double-booked
   try {
-    plan_translation(d);
+    (void)plan_translation(d);
     FAIL() << "expected rejection";
   } catch (const std::invalid_argument& error) {
     EXPECT_NE(std::string(error.what()).find("resource conflicts"),
@@ -58,6 +58,21 @@ TEST(PlanTranslation, RejectsInvalidDesign) {
   Design d = fig1_design();
   d.transfers[0].module = "NOPE";
   EXPECT_THROW(plan_translation(d), std::invalid_argument);
+}
+
+TEST(PlanTranslation, RejectsCycleCountThatWraps) {
+  // cs_max 4294967295 validates, but cs_max + 1 clock cycles would wrap to
+  // 0 and clock nothing.
+  Design d = fig1_design();
+  d.cs_max = 4294967295u;
+  try {
+    (void)plan_translation(d);
+    FAIL() << "expected rejection";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("cs_max 4294967295"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(PlanTranslation, WriteMuxSortedByStep) {

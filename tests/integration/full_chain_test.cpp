@@ -2,7 +2,6 @@
 
 #include "baseline/clocked_rtl.h"
 #include "baseline/handshake.h"
-#include "clocked/model.h"
 #include "transfer/build.h"
 #include "transfer/conflict.h"
 #include "verify/equivalence.h"
@@ -21,7 +20,7 @@ namespace {
 //          --(verify::evaluate)---> formal reference semantics
 //          --(emit_vhdl + parse +
 //             elaborate)----------> interpreted VHDL simulation
-//          --(plan_translation)---> clocked model + clocked RTL baseline
+//          --(plan_translation)---> clocked RTL, one and two cycles per step
 //          --(HandshakeModel)-----> handshake-style abstract simulation
 
 class FullChain : public ::testing::TestWithParam<int> {};
@@ -58,12 +57,12 @@ TEST_P(FullChain, AllSevenViewsAgree) {
   ASSERT_NE(vhdl_model, nullptr) << diags.to_text();
   vhdl_model->run();
 
-  // 5. Clocked single-process model; 6. clocked RTL baseline.
+  // 5. Clocked RTL, one cycle per step; 6. two cycles per step.
   const clocked::TranslationPlan plan = clocked::plan_translation(design);
-  clocked::ClockedModel clocked_model(plan);
-  clocked_model.run();
   baseline::ClockedRtlSim clocked_rtl(plan);
   clocked_rtl.run();
+  baseline::ClockedRtlSim two_cycle(plan, clocked::ClockScheme::kTwoCyclesPerStep);
+  two_cycle.run();
 
   // 7. Handshake-style abstract model.
   baseline::HandshakeModel handshake(design);
@@ -79,10 +78,10 @@ TEST_P(FullChain, AllSevenViewsAgree) {
                   vhdl_model->read(vhdl::vhdl_name(reg.name) + "_out")),
               expected)
         << "vhdl: " << reg.name;
-    EXPECT_EQ(clocked_model.register_value(reg.name), expected)
-        << "clocked: " << reg.name;
     EXPECT_EQ(clocked_rtl.register_value(reg.name), expected)
         << "clocked rtl: " << reg.name;
+    EXPECT_EQ(two_cycle.register_value(reg.name), expected)
+        << "clocked rtl, two cycles per step: " << reg.name;
     EXPECT_EQ(handshake.register_value(reg.name), expected)
         << "handshake: " << reg.name;
   }
@@ -92,7 +91,8 @@ TEST_P(FullChain, AllSevenViewsAgree) {
   EXPECT_EQ(abstract->scheduler().now().fs, 0u);
   EXPECT_EQ(vhdl_model->scheduler().now().fs, 0u);
   EXPECT_EQ(handshake.scheduler().now().fs, 0u);
-  EXPECT_GT(clocked_model.scheduler().now().fs, 0u);
+  EXPECT_GT(clocked_rtl.scheduler().now().fs, 0u);
+  EXPECT_GT(two_cycle.scheduler().now().fs, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FullChain, ::testing::Range(1, 11));

@@ -2,7 +2,6 @@
 
 #include "baseline/clocked_rtl.h"
 #include "baseline/handshake.h"
-#include "clocked/model.h"
 #include "transfer/build.h"
 #include "verify/random_design.h"
 
@@ -28,15 +27,13 @@ TEST(Lifetime, HandshakeModelFromTemporaryDesign) {
   SUCCEED();
 }
 
-TEST(Lifetime, ClockedModelFromTemporaryPlan) {
-  clocked::ClockedModel model(clocked::plan_translation(make_design()));
-  model.run();
-  SUCCEED();
-}
-
 TEST(Lifetime, ClockedRtlSimFromTemporaryPlan) {
-  baseline::ClockedRtlSim sim(clocked::plan_translation(make_design()));
-  sim.run();
+  for (const clocked::ClockScheme scheme :
+       {clocked::ClockScheme::kOneCyclePerStep,
+        clocked::ClockScheme::kTwoCyclesPerStep}) {
+    baseline::ClockedRtlSim sim(clocked::plan_translation(make_design()), scheme);
+    sim.run();
+  }
   SUCCEED();
 }
 
@@ -57,13 +54,13 @@ TEST(Lifetime, AllModelsAgreeWhenBuiltFromTemporaries) {
   abstract->run();
   baseline::HandshakeModel handshake(make_design());
   handshake.run();
-  clocked::ClockedModel clocked_model(clocked::plan_translation(make_design()));
-  clocked_model.run();
+  baseline::ClockedRtlSim clocked_rtl(clocked::plan_translation(make_design()));
+  clocked_rtl.run();
   const transfer::Design reference = make_design();
   for (const transfer::RegisterDecl& reg : reference.registers) {
     const rtl::RtValue expected = abstract->find_register(reg.name)->value();
     EXPECT_EQ(handshake.register_value(reg.name), expected) << reg.name;
-    EXPECT_EQ(clocked_model.register_value(reg.name), expected) << reg.name;
+    EXPECT_EQ(clocked_rtl.register_value(reg.name), expected) << reg.name;
   }
 }
 
